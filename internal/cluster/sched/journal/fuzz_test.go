@@ -30,13 +30,25 @@ func FuzzJournalReplay(f *testing.F) {
 	if _, err := l.AppendCompletion(&c); err != nil {
 		f.Fatal(err)
 	}
+	single, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A second seed continues with a multi-record batch, torn mid-way in
+	// a third: record boundaries inside one write.
+	c2, c3 := testCompletion(8), Completion{TaskID: 9}
+	if _, err := l.AppendCompletions([]*Completion{&c2, &c3, &c}); err != nil {
+		f.Fatal(err)
+	}
 	l.Close()
 	seed, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(single)
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
+	f.Add(seed[:(len(single)+len(seed))/2])
 	f.Add([]byte(magic))
 	f.Add([]byte{})
 	f.Add([]byte("BENUJNL1\x01\x00\x00\x00\x00\x00\x00\x00\x02"))

@@ -20,7 +20,9 @@
 //     report is acknowledged: task ID, duration, executor stats, and
 //     the emission payloads (matches / VCBC codes) that traveled in
 //     the report. Replay re-emits them, so a resumed run's output is
-//     bit-identical to an uninterrupted one.
+//     bit-identical to an uninterrupted one. A report carries a batch
+//     of attempts; its completions are appended as consecutive records
+//     with one write and one fsync (AppendCompletions).
 //
 // The file format is an append-only sequence of checksummed,
 // length-prefixed records behind an 8-byte magic header:
@@ -308,57 +310,97 @@ func (l *Log) Close() error { return l.f.Close() }
 // AppendSpec appends the job identity record. Returns the bytes
 // appended (framing included).
 func (l *Log) AppendSpec(s *JobSpec) (int, error) {
-	body := []byte{recSpec}
-	body = varint.Append(body, uint64(len(s.Plan)))
-	body = append(body, s.Plan...)
-	body = appendInt(body, int64(s.NumVertices))
-	body = appendInt(body, int64(s.Tau))
-	body = appendInt(body, int64(s.Tasks))
-	body = varint.Append(body, s.RanksHash)
-	return l.appendRecord(body)
+	l.buf = l.buf[:0]
+	at := l.beginRecord(recSpec)
+	l.buf = varint.Append(l.buf, uint64(len(s.Plan)))
+	l.buf = append(l.buf, s.Plan...)
+	l.buf = appendInt(l.buf, int64(s.NumVertices))
+	l.buf = appendInt(l.buf, int64(s.Tau))
+	l.buf = appendInt(l.buf, int64(s.Tasks))
+	l.buf = varint.Append(l.buf, s.RanksHash)
+	if err := l.sealRecord(at); err != nil {
+		return 0, err
+	}
+	return l.flush()
 }
 
 // AppendEpoch appends a master-incarnation record.
 func (l *Log) AppendEpoch(epoch uint64) (int, error) {
-	body := varint.Append([]byte{recEpoch}, epoch)
-	return l.appendRecord(body)
-}
-
-// AppendCompletion appends one committed task. The caller must not
-// acknowledge the commit to the worker until this returns nil: that
-// ordering is the whole crash-consistency argument.
-func (l *Log) AppendCompletion(c *Completion) (int, error) {
-	body := []byte{recCompletion}
-	body = appendInt(body, c.TaskID)
-	body = appendInt(body, c.DurationNs)
-	body = appendInt(body, c.Stats.Matches)
-	body = appendInt(body, c.Stats.Codes)
-	body = appendInt(body, c.Stats.DBQueries)
-	body = appendInt(body, c.Stats.IntOps)
-	body = appendInt(body, c.Stats.EnuSteps)
-	body = appendInt(body, c.Stats.ResultSize)
-	body = appendInt(body, c.Stats.TriHits)
-	body = appendInt(body, c.Stats.TriMisses)
-	body = appendRows(body, c.Matches)
-	body = varint.Append(body, uint64(len(c.Codes)))
-	for _, code := range c.Codes {
-		body = appendInts(body, code.CoverVertices)
-		body = appendInt64s(body, code.Helve)
-		body = appendInts(body, code.FreeVertices)
-		body = appendRows(body, code.Images)
-	}
-	return l.appendRecord(body)
-}
-
-// appendRecord frames body (length + CRC), writes it, and syncs.
-func (l *Log) appendRecord(body []byte) (int, error) {
-	if len(body) > maxRecord {
-		return 0, fmt.Errorf("journal: record of %d bytes exceeds the %d-byte cap", len(body), maxRecord)
-	}
 	l.buf = l.buf[:0]
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(len(body)))
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, crc32.ChecksumIEEE(body))
-	l.buf = append(l.buf, body...)
+	at := l.beginRecord(recEpoch)
+	l.buf = varint.Append(l.buf, epoch)
+	if err := l.sealRecord(at); err != nil {
+		return 0, err
+	}
+	return l.flush()
+}
+
+// AppendCompletion appends one committed task: AppendCompletions with a
+// batch of one.
+func (l *Log) AppendCompletion(c *Completion) (int, error) {
+	return l.AppendCompletions([]*Completion{c})
+}
+
+// AppendCompletions appends a batch of committed tasks — one record
+// each, in slice order — with a single write and a single fsync. The
+// caller must not acknowledge any of the commits to a worker until this
+// returns nil: that ordering is the whole crash-consistency argument. A
+// crash mid-write leaves a prefix of the batch's records plus at most
+// one torn record, which replay drops like any torn tail. Returns the
+// bytes appended (framing included).
+func (l *Log) AppendCompletions(cs []*Completion) (int, error) {
+	l.buf = l.buf[:0]
+	for _, c := range cs {
+		at := l.beginRecord(recCompletion)
+		l.buf = appendInt(l.buf, c.TaskID)
+		l.buf = appendInt(l.buf, c.DurationNs)
+		l.buf = appendInt(l.buf, c.Stats.Matches)
+		l.buf = appendInt(l.buf, c.Stats.Codes)
+		l.buf = appendInt(l.buf, c.Stats.DBQueries)
+		l.buf = appendInt(l.buf, c.Stats.IntOps)
+		l.buf = appendInt(l.buf, c.Stats.EnuSteps)
+		l.buf = appendInt(l.buf, c.Stats.ResultSize)
+		l.buf = appendInt(l.buf, c.Stats.TriHits)
+		l.buf = appendInt(l.buf, c.Stats.TriMisses)
+		l.buf = appendRows(l.buf, c.Matches)
+		l.buf = varint.Append(l.buf, uint64(len(c.Codes)))
+		for _, code := range c.Codes {
+			l.buf = appendInts(l.buf, code.CoverVertices)
+			l.buf = appendInt64s(l.buf, code.Helve)
+			l.buf = appendInts(l.buf, code.FreeVertices)
+			l.buf = appendRows(l.buf, code.Images)
+		}
+		if err := l.sealRecord(at); err != nil {
+			return 0, err
+		}
+	}
+	return l.flush()
+}
+
+// beginRecord reserves a record's framing in l.buf and writes its type
+// byte; the caller appends the body and then seals the record. Returns
+// the framing's offset.
+func (l *Log) beginRecord(typ byte) int {
+	at := len(l.buf)
+	l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0, typ)
+	return at
+}
+
+// sealRecord fills in the length and CRC of the record begun at at,
+// whose payload is everything appended since.
+func (l *Log) sealRecord(at int) error {
+	payload := l.buf[at+recHeader:]
+	if len(payload) > maxRecord {
+		return fmt.Errorf("journal: record of %d bytes exceeds the %d-byte cap", len(payload), maxRecord)
+	}
+	binary.LittleEndian.PutUint32(l.buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(l.buf[at+4:], crc32.ChecksumIEEE(payload))
+	return nil
+}
+
+// flush writes the sealed records in l.buf with one write and syncs
+// once.
+func (l *Log) flush() (int, error) {
 	if _, err := l.f.Write(l.buf); err != nil {
 		return 0, err
 	}

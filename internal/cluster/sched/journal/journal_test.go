@@ -220,6 +220,85 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalBatchTornAnywhere: a batch is one write of N records, so a
+// crash can tear it at any byte. Whatever the offset, replay returns a
+// prefix of the batch's records — never a partial or reordered one —
+// and flags the tear unless the cut fell exactly between two records.
+// The batch's bytes are the same N records single appends would write.
+func TestJournalBatchTornAnywhere(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job.journal")
+	l, _, err := Open(path, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendSpec(testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	start := fileSize(t, path)
+	want := []Completion{testCompletion(2), testCompletion(9), {TaskID: 4}, testCompletion(0), testCompletion(31)}
+	batch := make([]*Completion, len(want))
+	for i := range want {
+		batch[i] = &want[i]
+	}
+	n, err := l.AppendCompletions(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(n) != int64(len(data))-start {
+		t.Fatalf("AppendCompletions reported %d bytes, file grew by %d", n, int64(len(data))-start)
+	}
+
+	// Reference: the same completions appended one by one. Its file gives
+	// both the expected bytes and the record boundaries.
+	single, _, err := Open(filepath.Join(dir, "single.journal"), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := single.AppendSpec(testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	boundary := map[int]int{int(start): 0} // offset → completions wholly before it
+	for i := range want {
+		if _, err := single.AppendCompletion(&want[i]); err != nil {
+			t.Fatal(err)
+		}
+		boundary[int(fileSize(t, filepath.Join(dir, "single.journal")))] = i + 1
+	}
+	single.Close()
+	if ref, _ := os.ReadFile(filepath.Join(dir, "single.journal")); !bytes.Equal(ref, data) {
+		t.Fatal("a batch append and the same single appends wrote different bytes")
+	}
+
+	whole := 0
+	for cut := int(start); cut <= len(data); cut++ {
+		rep, valid, err := Decode(data[:cut])
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		if n, onBoundary := boundary[cut]; onBoundary {
+			whole = n
+		}
+		if len(rep.Completions) != whole {
+			t.Fatalf("cut=%d: replayed %d completions, want the %d whole ones", cut, len(rep.Completions), whole)
+		}
+		for i := range rep.Completions {
+			sameCompletion(t, rep.Completions[i], want[i])
+		}
+		if _, onBoundary := boundary[cut]; rep.Torn == onBoundary {
+			t.Fatalf("cut=%d: Torn=%v, on a record boundary=%v", cut, rep.Torn, onBoundary)
+		}
+		if boundary[valid] != whole {
+			t.Fatalf("cut=%d: valid prefix %d is not the end of record %d", cut, valid, whole)
+		}
+	}
+}
+
 // TestJournalCorruptRecord flips a byte inside a committed record: the
 // checksum must catch it and replay must stop before the damage.
 func TestJournalCorruptRecord(t *testing.T) {

@@ -59,15 +59,15 @@ type MasterConfig struct {
 	Breaker resilience.BreakerConfig
 	// StoreAddrs are handed to workers that dial their own store.
 	StoreAddrs []string
-	// JournalPath enables crash-consistent recovery: every committed
-	// completion is appended (and fsync'd) to this write-ahead log
-	// before the worker's report is acknowledged, and StartMaster
+	// JournalPath enables crash-consistent recovery: every report's
+	// completions are appended (and fsync'd once, as a batch) to this
+	// write-ahead log before the report is acknowledged, and StartMaster
 	// replays an existing journal — completed tasks are skipped, their
 	// stats and emissions re-applied, and the master runs at the next
 	// epoch so calls from the previous incarnation are fenced. Empty
 	// disables journaling (the PR 7 in-memory-only behavior).
 	JournalPath string
-	// JournalNoSync skips the per-commit fsync — recovery then survives
+	// JournalNoSync skips the per-report fsync — recovery then survives
 	// a process crash but not an OS crash. For tests and the
 	// differential matrix, where the fsync cost dwarfs the tiny runs.
 	JournalNoSync bool
@@ -160,6 +160,9 @@ type taskState struct {
 	st       int
 	worker   int // current lease holder when taskLeased
 	attempts int // failed/expired attempts so far
+	// stolen: this lease was moved to its holder by a steal, and is not
+	// stolen again (see stealLocked). Cleared when the task is re-queued.
+	stolen bool
 }
 
 // workerRec is the master's view of one worker.
@@ -167,16 +170,14 @@ type workerRec struct {
 	id       int
 	lastSeen time.Time
 	dead     bool
-	// departed means this worker has seen a Done=true reply after the
-	// run finished — it will wind down on its own; Drain waits for it.
-	departed bool
 	// leased / running are task indexes: everything this worker holds,
-	// and the subset its last heartbeat said was executing. Backlog
-	// (leased − running) is what stealing may take.
+	// and the subset its last call (of any kind) said was executing or
+	// awaiting acknowledgement. Backlog (leased − running) is what
+	// stealing may take.
 	leased  map[int]struct{}
 	running map[int]struct{}
-	// revoked accumulates stolen/expired task IDs until the next
-	// heartbeat drains them back to the worker.
+	// revoked accumulates stolen task IDs until the worker's next call
+	// drains them back to it.
 	revoked []int64
 	// spans is this worker's observed task-duration histogram — the
 	// obs task-span view stealing ranks stragglers by.
@@ -219,8 +220,10 @@ type Master struct {
 	retriedC      *obs.Counter
 	failedC       *obs.Counter
 	remoteTaskH   *obs.Histogram
+	batchItemsH   *obs.Histogram
 	jRecordsC     *obs.Counter
 	jBytesC       *obs.Counter
+	jSyncsC       *obs.Counter
 	jReplayedC    *obs.Counter
 	epochGauge    *obs.Gauge
 	staleC        *obs.Counter
@@ -292,8 +295,10 @@ func StartMaster(addr string, cfg MasterConfig) (*Master, error) {
 		retriedC:      reg.Counter("cluster.tasks.retried"),
 		failedC:       reg.Counter("cluster.tasks.failed"),
 		remoteTaskH:   reg.Histogram("sched.task.remote_ns"),
+		batchItemsH:   reg.Histogram("sched.report.batch_items"),
 		jRecordsC:     reg.Counter("sched.journal.records"),
 		jBytesC:       reg.Counter("sched.journal.bytes"),
+		jSyncsC:       reg.Counter("sched.journal.syncs"),
 		jReplayedC:    reg.Counter("sched.journal.replayed"),
 		epochGauge:    reg.Gauge("sched.epoch"),
 		staleC:        reg.Counter("sched.epoch.stale"),
@@ -379,8 +384,7 @@ func (m *Master) openJournal() error {
 			l.Close()
 			return fmt.Errorf("sched: journal %s: %w", m.cfg.JournalPath, err)
 		}
-		m.jRecordsC.Inc()
-		m.jBytesC.Add(int64(n))
+		m.journaled(1, n)
 	} else if !rep.Spec.Equal(spec) {
 		l.Close()
 		return fmt.Errorf("sched: journal %s belongs to a different job (plan/graph/tau mismatch); refusing to resume", m.cfg.JournalPath)
@@ -432,10 +436,19 @@ func (m *Master) openJournal() error {
 		l.Close()
 		return fmt.Errorf("sched: journal %s: %w", m.cfg.JournalPath, err)
 	}
-	m.jRecordsC.Inc()
-	m.jBytesC.Add(int64(n))
+	m.journaled(1, n)
 	m.jl = l
 	return nil
+}
+
+// journaled accounts for one journal append of records records and n
+// bytes: one write and — unless JournalNoSync — one fsync.
+func (m *Master) journaled(records, n int) {
+	m.jRecordsC.Add(int64(records))
+	m.jBytesC.Add(int64(n))
+	if !m.cfg.JournalNoSync {
+		m.jSyncsC.Inc()
+	}
 }
 
 // closeJournalLocked closes the journal if one is open. Caller holds
@@ -476,25 +489,20 @@ func (m *Master) Wait(ctx context.Context) (*Result, error) {
 	return &res, m.err
 }
 
-// Drain waits up to timeout for every live worker to observe the
-// finished run (a Done=true reply on one of its RPCs), so that a Close
-// immediately afterwards severs no one mid-call — without it, a worker
-// parked in a Lease when the master exits sees an EOF instead of a
-// clean shutdown. Workers already declared dead are not waited for.
-// It reports whether every live worker departed in time.
+// Drain waits up to timeout, after the run has finished, for every
+// worker to hang up: a worker disconnects once one of its calls has
+// told it the run is done, so when no connection is left a Close
+// severs no one mid-call — without it, a worker parked between polls
+// when the master exits sees an EOF instead of a clean shutdown and
+// retries a master that is gone. Waiting for the hang-up rather than
+// for the Done reply to be produced matters: a reply is not on the wire
+// yet when its handler returns. It reports whether every connection
+// closed in time (a hung worker's never does).
 func (m *Master) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		m.mu.Lock()
-		all := m.finished
-		if all {
-			for _, w := range m.workers {
-				if !w.dead && !w.departed {
-					all = false
-					break
-				}
-			}
-		}
+		all := m.finished && len(m.conns) == 0
 		m.mu.Unlock()
 		if all {
 			return true
@@ -654,6 +662,7 @@ func (m *Master) requeueLocked(idx int, cause error) {
 	m.retriedC.Inc()
 	ts.st = taskPending
 	ts.worker = -1
+	ts.stolen = false
 	m.pending = append(m.pending, idx)
 }
 
@@ -709,6 +718,7 @@ func (s *schedService) Join(args *JoinArgs, reply *JoinReply) error {
 	reply.Labels = m.labels
 	reply.LeaseDuration = m.cfg.LeaseDuration
 	reply.HeartbeatEvery = m.cfg.HeartbeatEvery
+	reply.LeaseBatch = m.cfg.LeaseBatch
 	reply.WantMatches = m.cfg.Emit != nil
 	reply.WantCodes = m.cfg.EmitCode != nil
 	reply.CompactAdjacency = m.cfg.CompactAdjacency
@@ -747,14 +757,20 @@ func (m *Master) staleLocked(epoch uint64) bool {
 	return true
 }
 
-// doneReplyLocked reports whether the run has finished, marking w as
-// having observed completion when it has (Drain waits on that mark).
-// Caller holds m.mu.
-func (m *Master) doneReplyLocked(w *workerRec) bool {
-	if m.finished {
-		w.departed = true
+// syncWorkerLocked is the part every call from a live worker shares: it
+// refreshes w's running set from the call's held-set snapshot and hands
+// back the revocations accumulated since its previous call. Only tasks
+// the worker still holds count as running (a stolen task it reports
+// running is already someone else's). Caller holds m.mu.
+func (m *Master) syncWorkerLocked(w *workerRec, running []int64) (revoked []int64) {
+	w.running = make(map[int]struct{}, len(running))
+	for _, id := range running {
+		if _, held := w.leased[int(id)]; held {
+			w.running[int(id)] = struct{}{}
+		}
 	}
-	return m.finished
+	revoked, w.revoked = w.revoked, nil
+	return revoked
 }
 
 func (s *schedService) Lease(args *LeaseArgs, reply *LeaseReply) error {
@@ -773,11 +789,12 @@ func (s *schedService) Lease(args *LeaseArgs, reply *LeaseReply) error {
 		reply.Fenced = true
 		return nil
 	}
-	if m.doneReplyLocked(w) {
+	if m.finished {
 		reply.Done = true
 		return nil
 	}
 	m.touchLocked(w)
+	reply.Revoked = m.syncWorkerLocked(w, args.Running)
 	max := args.Max
 	if max <= 0 || max > m.cfg.LeaseBatch {
 		max = m.cfg.LeaseBatch
@@ -813,7 +830,14 @@ func (s *schedService) Lease(args *LeaseArgs, reply *LeaseReply) error {
 		reply.Tasks = m.stealLocked(w, max)
 	}
 	if len(reply.Tasks) == 0 {
+		// Nothing changes for this worker until a task somewhere finishes
+		// or fails — the last one ends the run, and Drain then waits for
+		// this worker to hear of it: poll again after about one task, at
+		// most a heartbeat.
 		reply.Backoff = m.cfg.HeartbeatEvery
+		if span := m.remoteTaskH.Snapshot(); span.Count > 0 && time.Duration(span.Mean) < reply.Backoff {
+			reply.Backoff = time.Duration(span.Mean)
+		}
 	} else {
 		m.leasedC.Add(int64(len(reply.Tasks)))
 	}
@@ -867,19 +891,28 @@ func leasePick(pending []int, max int, local func(task int) bool) (chosen, rest 
 
 // stealLocked reassigns up to max tasks from the straggler with the
 // largest expected drain time to thief. Backlog is a victim's leased
-// tasks minus those its last heartbeat reported running; expected drain
-// time weights that backlog by the victim's mean observed task span
-// (the obs task-span histogram), so a slow worker with three queued
-// tasks outranks a fast one with four. Caller holds m.mu.
+// tasks minus those its last call reported running and those it stole
+// itself (a stolen task sits at the end of a queue that had run dry: it
+// is about to start, and stealing it again would race its new holder);
+// expected drain time weights that backlog by the victim's mean
+// observed task span (the obs task-span histogram), so a slow worker
+// with three queued tasks outranks a fast one with four. Caller holds
+// m.mu.
 func (m *Master) stealLocked(thief *workerRec, max int) []WireTask {
 	var victim *workerRec
 	var victimScore float64
+	var backlog []int
 	for _, w := range m.workers {
 		if w.dead || w.id == thief.id {
 			continue
 		}
-		backlog := len(w.leased) - len(w.running)
-		if backlog <= 0 {
+		var idxs []int
+		for idx := range w.leased {
+			if _, running := w.running[idx]; !running && !m.state[idx].stolen {
+				idxs = append(idxs, idx)
+			}
+		}
+		if len(idxs) == 0 {
 			continue
 		}
 		// Mean task span, defaulting to 1ns so a worker that has never
@@ -888,33 +921,36 @@ func (m *Master) stealLocked(thief *workerRec, max int) []WireTask {
 		if snap := w.spans.Snapshot(); snap.Count > 0 {
 			mean = snap.Mean
 		}
-		score := float64(backlog) * mean
+		score := float64(len(idxs)) * mean
 		if victim == nil || score > victimScore {
-			victim, victimScore = w, score
+			victim, victimScore, backlog = w, score, idxs
 		}
 	}
 	if victim == nil {
 		return nil
 	}
-	// Take up to half the victim's backlog (never the tasks it reported
-	// running), newest leases first — those are coldest on the victim.
-	idxs := make([]int, 0, len(victim.leased))
-	for idx := range victim.leased {
-		if _, running := victim.running[idx]; !running {
-			idxs = append(idxs, idx)
-		}
+	// Even the two out: move half the difference between what the victim
+	// and the thief hold, so the thief is never left with more than the
+	// victim. Only backlog moves, newest leases first — those are coldest
+	// on the victim.
+	take := (len(victim.leased) - len(thief.leased)) / 2
+	if take > len(backlog) {
+		take = len(backlog)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(idxs)))
-	take := (len(idxs) + 1) / 2
 	if take > max {
 		take = max
 	}
+	if take <= 0 {
+		return nil
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(backlog)))
 	var out []WireTask
-	for _, idx := range idxs[:take] {
+	for _, idx := range backlog[:take] {
 		delete(victim.leased, idx)
 		victim.revoked = append(victim.revoked, int64(idx))
 		ts := &m.state[idx]
 		ts.worker = thief.id
+		ts.stolen = true
 		thief.leased[idx] = struct{}{}
 		m.res.Steals++
 		m.stealsC.Inc()
@@ -923,6 +959,11 @@ func (m *Master) stealLocked(thief *workerRec, max int) []WireTask {
 	return out
 }
 
+// Report commits a batch of finished attempts. The whole batch is
+// validated before any state changes; failed attempts re-queue, repeats
+// are dropped, and the fresh completions are journaled with one append
+// (one write, one fsync) and only then committed, in batch order, and
+// acknowledged. A batch of one is the same path.
 func (s *schedService) Report(args *ReportArgs, reply *ReportReply) error {
 	m := s.m
 	m.mu.Lock()
@@ -935,87 +976,104 @@ func (s *schedService) Report(args *ReportArgs, reply *ReportReply) error {
 	if err != nil {
 		return err
 	}
-	idx := int(args.TaskID)
-	if idx < 0 || idx >= len(m.tasks) {
-		return fmt.Errorf("sched: unknown task %d", args.TaskID)
+	for i := range args.Attempts {
+		if id := args.Attempts[i].TaskID; id < 0 || id >= int64(len(m.tasks)) {
+			return fmt.Errorf("sched: unknown task %d", id)
+		}
 	}
 	if !w.dead {
 		m.touchLocked(w)
 	}
-	delete(w.leased, idx)
-	delete(w.running, idx)
-	ts := &m.state[idx]
+	m.batchItemsH.Record(int64(len(args.Attempts)))
 
-	if args.Err != "" {
-		// A failed attempt re-queues the task — unless it is no longer
-		// this worker's lease (committed elsewhere, stolen, or already
-		// re-queued by a fence; the current holder owns the outcome).
-		if ts.st == taskLeased && ts.worker == w.id && !m.finished {
-			m.requeueLocked(idx, errors.New(args.Err))
+	// Classify. A fresh completion is marked done right away so a repeat
+	// of the same task later in the batch drops as a duplicate; it counts
+	// for nothing until the journal holds it.
+	reply.Accepted = make([]bool, len(args.Attempts))
+	var fresh []int // indexes into args.Attempts
+	for i := range args.Attempts {
+		a := &args.Attempts[i]
+		idx := int(a.TaskID)
+		delete(w.leased, idx)
+		ts := &m.state[idx]
+		switch {
+		case a.Err != "":
+			// A failed attempt re-queues the task — unless it is no longer
+			// this worker's lease (committed elsewhere, stolen, or already
+			// re-queued by a fence; the current holder owns the outcome).
+			if ts.st == taskLeased && ts.worker == w.id && !m.finished {
+				m.requeueLocked(idx, errors.New(a.Err))
+			}
+		case ts.st == taskDone:
+			// Exactly-once: a second completion (stolen or expired task
+			// that finished anyway, or a worker retrying a report whose
+			// reply was lost in transit) is dropped, not double-counted.
+			m.res.DuplicateReports++
+			m.duplicateC.Inc()
+		default:
+			ts.st = taskDone
+			fresh = append(fresh, i)
 		}
-		reply.Done = m.doneReplyLocked(w)
-		return nil
 	}
 
-	if ts.st == taskDone {
-		// Exactly-once: a second completion (stolen or expired task
-		// that finished anyway, or a worker retrying a Report whose
-		// reply was lost in transit) is dropped, not double-counted.
-		m.res.DuplicateReports++
-		m.duplicateC.Inc()
-		reply.Done = m.doneReplyLocked(w)
-		return nil
-	}
-	if m.jl != nil {
-		// Journal the completion before committing it in memory. A
-		// crash after the append replays this task as done and the
-		// worker's retried report drops as a duplicate; a crash before
-		// it re-queues the task. Either way: exactly once. An append
-		// failure means commits can no longer be made durable — fail
-		// the run loudly rather than silently degrade.
+	if m.jl != nil && len(fresh) > 0 {
+		// Journal the completions before committing them in memory. A
+		// crash after the append replays these tasks as done and the
+		// worker's retried report drops as duplicates; a crash before it
+		// re-queues them. Either way: exactly once. An append failure
+		// means commits can no longer be made durable — fail the run
+		// loudly, acknowledging nothing, rather than silently degrade.
+		recs := make([]*journal.Completion, len(fresh))
+		for i, at := range fresh {
+			a := &args.Attempts[at]
+			recs[i] = &journal.Completion{
+				TaskID:     a.TaskID,
+				DurationNs: a.DurationNs,
+				Stats:      a.Stats,
+				Matches:    a.Matches,
+				Codes:      a.Codes,
+			}
+		}
 		//benulint:lock the fsync under m.mu IS the commit protocol: journal order must match commit order
-		n, jerr := m.jl.AppendCompletion(&journal.Completion{
-			TaskID:     args.TaskID,
-			DurationNs: args.DurationNs,
-			Stats:      args.Stats,
-			Matches:    args.Matches,
-			Codes:      args.Codes,
-		})
+		n, jerr := m.jl.AppendCompletions(recs)
 		if jerr != nil {
 			m.finishLocked(fmt.Errorf("sched: journal %s: %w", m.cfg.JournalPath, jerr))
-			reply.Done = m.doneReplyLocked(w)
+			reply.Done = m.finished
 			return nil
 		}
-		m.jRecordsC.Inc()
-		m.jBytesC.Add(int64(n))
+		m.journaled(len(recs), n)
 	}
-	ts.st = taskDone
-	m.doneCount++
-	m.completedC.Inc()
-	w.spans.Record(args.DurationNs)
-	m.remoteTaskH.Record(args.DurationNs)
-	m.res.Stats.Add(args.Stats)
-	m.res.Matches += args.Stats.Matches
-	m.res.Codes += args.Stats.Codes
-	if m.cfg.Emit != nil {
-		for _, f := range args.Matches {
-			if !m.cfg.Emit(f) {
-				break
+
+	for _, at := range fresh {
+		a := &args.Attempts[at]
+		reply.Accepted[at] = true
+		m.doneCount++
+		m.completedC.Inc()
+		w.spans.Record(a.DurationNs)
+		m.remoteTaskH.Record(a.DurationNs)
+		m.res.Stats.Add(a.Stats)
+		m.res.Matches += a.Stats.Matches
+		m.res.Codes += a.Stats.Codes
+		if m.cfg.Emit != nil {
+			for _, f := range a.Matches {
+				if !m.cfg.Emit(f) {
+					break
+				}
+			}
+		}
+		if m.cfg.EmitCode != nil {
+			for _, c := range a.Codes {
+				if !m.cfg.EmitCode(c) {
+					break
+				}
 			}
 		}
 	}
-	if m.cfg.EmitCode != nil {
-		for _, c := range args.Codes {
-			if !m.cfg.EmitCode(c) {
-				break
-			}
-		}
-	}
-	reply.Accepted = true
 	if m.doneCount == len(m.tasks) {
 		m.finishLocked(nil)
 	}
-	reply.Done = m.doneReplyLocked(w)
+	reply.Revoked = m.syncWorkerLocked(w, args.Running)
+	reply.Done = m.finished
 	return nil
 }
 
@@ -1037,17 +1095,7 @@ func (s *schedService) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) err
 	}
 	m.heartbeatsC.Inc()
 	m.touchLocked(w)
-	// Refresh the running set: only tasks the worker still holds count
-	// (a stolen task it reports running is already someone else's).
-	w.running = make(map[int]struct{}, len(args.Running))
-	for _, id := range args.Running {
-		idx := int(id)
-		if _, held := w.leased[idx]; held {
-			w.running[idx] = struct{}{}
-		}
-	}
-	reply.Revoked = w.revoked
-	w.revoked = nil
-	reply.Done = m.doneReplyLocked(w)
+	reply.Revoked = m.syncWorkerLocked(w, args.Running)
+	reply.Done = m.finished
 	return nil
 }

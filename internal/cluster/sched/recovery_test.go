@@ -269,14 +269,11 @@ func TestEpochStaleFencing(t *testing.T) {
 	if !lr.Stale || len(lr.Tasks) != 0 {
 		t.Errorf("stale Lease not fenced: %+v", lr)
 	}
-	var rr ReportReply
-	if err := stale.Call("Sched.Report", &ReportArgs{
-		WorkerID: oldJoin.WorkerID, TaskID: oldLease.Tasks[0].ID, Epoch: oldJoin.Epoch,
-		Stats: exec.Stats{Matches: 1 << 30}, // would wreck the count if committed
-	}, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if !rr.Stale || rr.Accepted {
+	rr := report(t, stale, oldJoin, Attempt{
+		TaskID: oldLease.Tasks[0].ID,
+		Stats:  exec.Stats{Matches: 1 << 30}, // would wreck the count if committed
+	})
+	if !rr.Stale || len(rr.Accepted) != 0 {
 		t.Errorf("stale Report not fenced: %+v", rr)
 	}
 	var hr HeartbeatReply
@@ -341,29 +338,20 @@ func TestDuplicateReportJournaled(t *testing.T) {
 	if len(lease.Tasks) == 0 {
 		t.Fatal("no tasks leased")
 	}
-	report := func(id int64) ReportReply {
-		t.Helper()
-		var rep ReportReply
-		if err := c.Call("Sched.Report", &ReportArgs{
-			WorkerID: join.WorkerID, TaskID: id, Epoch: join.Epoch,
-			Stats:   exec.Stats{Matches: 1},
-			Matches: [][]int64{{id, id + 1, id + 2}},
-		}, &rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	fabricated := func(id int64) Attempt {
+		return Attempt{TaskID: id, Stats: exec.Stats{Matches: 1}, Matches: [][]int64{{id, id + 1, id + 2}}}
 	}
 	// Deliver the first task's report twice — the "reply was lost, the
 	// worker retried" wire history — before the rest of the run.
 	first := lease.Tasks[0].ID
-	if rep := report(first); !rep.Accepted {
+	if !report(t, c, join, fabricated(first)).Accepted[0] {
 		t.Fatal("first delivery not accepted")
 	}
-	if rep := report(first); rep.Accepted {
+	if report(t, c, join, fabricated(first)).Accepted[0] {
 		t.Fatal("duplicate delivery accepted: double-commit")
 	}
 	for _, wt := range lease.Tasks[1:] {
-		report(wt.ID)
+		report(t, c, join, fabricated(wt.ID))
 	}
 	res := waitResult(t, m)
 	wantMatches := int64(res.Tasks) // one fabricated match per task

@@ -8,11 +8,12 @@
 // assumes a fixed, evenly loaded cluster. Here scheduling is
 // pull-based, in the HUGE mold (see PAPERS.md): the master serves the
 // task queue over stdlib net/rpc, workers join and leave dynamically
-// and request task batches when idle, and an idle worker steals backlog
-// from the straggler with the largest expected drain time (leased but
-// not-yet-running tasks, weighted by that worker's observed task-span
-// histogram). Stragglers shed load instead of defining the critical
-// path.
+// and lease tasks ahead of need (as far ahead as a Lease round trip is
+// long in tasks), and a worker that finds the queue empty steals
+// backlog from the straggler with the largest expected drain time
+// (leased but not-yet-running tasks, weighted by that worker's observed
+// task-span histogram). Stragglers shed load instead of defining the
+// critical path.
 //
 // Failure story, built on the PR 4 resilience layer:
 //
@@ -27,14 +28,23 @@
 //     (sched.tasks.duplicate) and dropped. Emissions travel inside the
 //     report, so a task's matches are delivered if and only if its
 //     completion commits — no lost and no double-counted embeddings.
+//   - Reporting is asynchronous and self-batching. A worker thread
+//     hands its finished attempt to a bounded per-worker outbox and
+//     starts the next task at once; one reporter goroutine ships
+//     whatever accumulated during the previous round trip as a single
+//     Report, so the batch size follows the load (1 when idle) with no
+//     timer and no knob. A finished attempt that was never
+//     acknowledged — the outbox of a killed worker — is healed by lease
+//     expiry exactly as a task lost mid-execution is.
 //   - A failed attempt (a worker-side executor or store error) is
 //     re-queued until Config.TaskRetries is exhausted, then fails the
 //     run loudly.
 //   - The master itself can crash and restart: with a journal
-//     (MasterConfig.JournalPath, package journal) every committed
-//     completion is written synchronously before it is acknowledged,
-//     and a re-launched master replays the file, skips done tasks, and
-//     re-queues only the rest. Each incarnation runs at a fresh epoch;
+//     (MasterConfig.JournalPath, package journal) every report's
+//     completions are written with one append and one fsync before any
+//     of them is acknowledged, and a re-launched master replays the
+//     file, skips done tasks, and re-queues only the rest. Each
+//     incarnation runs at a fresh epoch;
 //     every RPC carries the epoch it was issued under, and calls from
 //     an older incarnation are rejected idempotently (Stale replies),
 //     so a report raced across a restart can never double-commit or
@@ -42,7 +52,10 @@
 //
 // The wire protocol (this file) mirrors internal/kv's client/server
 // shape: gob-encoded net/rpc over TCP, one service ("Sched") with four
-// methods — Join, Lease, Report, Heartbeat. harness.go adds the
+// methods — Join, Lease, Report, Heartbeat. Lease, Report and
+// Heartbeat all carry the worker's held set (Running) up and pending
+// revocations (Revoked) down, so the master's view of what a worker is
+// doing is as fresh as its last call of any kind. harness.go adds the
 // cross-process test harness: StartMaster/StartWorker run the real wire
 // protocol over loopback inside tests, and SpawnWorkerProcess re-execs
 // the test binary so the differential and chaos matrices exercise a
@@ -103,6 +116,9 @@ type JoinReply struct {
 	// HeartbeatEvery is the interval workers must heartbeat at (and the
 	// poll interval when the queue is momentarily empty).
 	HeartbeatEvery time.Duration
+	// LeaseBatch is the most tasks one Lease call hands out: the cap on
+	// how far ahead a worker leases.
+	LeaseBatch int
 	// WantMatches / WantCodes tell the worker whether to ship emitted
 	// embeddings / VCBC codes inside reports (only when the master has
 	// a consumer; counts always travel in Stats).
@@ -126,18 +142,25 @@ type WireTask struct {
 	Stolen bool
 }
 
-// LeaseArgs is the RPC request for Sched.Lease: an idle worker pulling
-// up to Max tasks.
+// LeaseArgs is the RPC request for Sched.Lease: a worker pulling up to
+// Max tasks into its local queue.
 type LeaseArgs struct {
 	WorkerID int
 	Max      int
 	// Epoch is the master incarnation the worker joined (JoinReply.Epoch).
 	Epoch uint64
+	// Running is the worker's held set: tasks executing on a thread or
+	// finished and awaiting acknowledgement in its outbox. Everything
+	// else it has leased is backlog the master may steal.
+	Running []int64
 }
 
 // LeaseReply carries the leased tasks, or the reason there are none.
 type LeaseReply struct {
 	Tasks []WireTask
+	// Revoked lists tasks stolen from this worker's backlog since its
+	// last call; it must drop them from its local queue unexecuted.
+	Revoked []int64
 	// Done: the run is complete (or failed); the worker should drain
 	// and exit.
 	Done bool
@@ -145,22 +168,18 @@ type LeaseReply struct {
 	// must stop (its tasks are already re-queued elsewhere).
 	Fenced bool
 	// Backoff is the suggested wait before polling again when no tasks
-	// are available right now (the queue may refill via failures or
-	// late-joining work).
+	// are available right now (the queue may refill via failures, and
+	// the run may end): about one mean task span, at most a heartbeat
+	// interval. A worker doubles it over consecutive empty replies.
 	Backoff time.Duration
 	// Stale: the caller's epoch predates this master incarnation (the
 	// master restarted). The worker must discard its leases and re-Join.
 	Stale bool
 }
 
-// ReportArgs is the RPC request for Sched.Report: one finished task
-// attempt, successful or not.
-type ReportArgs struct {
-	WorkerID int
-	TaskID   int64
-	// Epoch is the master incarnation the task was leased under. A
-	// report from a fenced epoch is rejected without touching state.
-	Epoch uint64
+// Attempt is one finished task attempt, successful or not.
+type Attempt struct {
+	TaskID int64
 	// Err is the attempt's failure, "" on success. A failed attempt
 	// carries no results.
 	Err string
@@ -175,11 +194,32 @@ type ReportArgs struct {
 	Codes   []*vcbc.Code
 }
 
-// ReportReply acknowledges a report.
+// ReportArgs is the RPC request for Sched.Report: every attempt the
+// worker finished since its previous report went out, in completion
+// order. The master validates the whole batch, journals its fresh
+// completions with one append, and commits them in that order.
+type ReportArgs struct {
+	WorkerID int
+	// Epoch is the master incarnation the worker is joined to. A report
+	// from a fenced epoch is rejected without touching state.
+	Epoch    uint64
+	Attempts []Attempt
+	// Running is the worker's held set (see LeaseArgs.Running); it may
+	// include this batch's own tasks, which the report releases.
+	Running []int64
+}
+
+// ReportReply acknowledges a report, attempt by attempt.
 type ReportReply struct {
-	// Accepted: the completion committed. False means another attempt
-	// already committed this task (the duplicate is dropped).
-	Accepted bool
+	// Accepted[i]: Attempts[i]'s completion committed — after its journal
+	// record was made durable. False means the attempt failed, or
+	// another attempt (an earlier delivery of this batch included)
+	// already committed the task and this one was dropped as a
+	// duplicate, or the journal append failed (and with it the run).
+	// Empty on a Stale reply.
+	Accepted []bool
+	// Revoked: see LeaseReply.Revoked.
+	Revoked []int64
 	// Done: the run is complete; the worker should exit.
 	Done bool
 	// Stale: the report's epoch predates this master incarnation; it
@@ -188,21 +228,23 @@ type ReportReply struct {
 }
 
 // HeartbeatArgs is the RPC request for Sched.Heartbeat: lease renewal
-// plus the set of tasks currently executing on the worker's threads
-// (the master steals only backlog it has not seen running).
+// every HeartbeatEvery, whatever else the worker is doing.
 type HeartbeatArgs struct {
 	WorkerID int
-	Running  []int64
+	// Running: see LeaseArgs.Running.
+	Running []int64
 	// Epoch is the master incarnation the worker joined.
 	Epoch uint64
 }
 
-// HeartbeatReply returns revocations: tasks stolen from this worker's
-// backlog or expired, which it must drop without executing.
+// HeartbeatReply returns revocations and run state, like every other
+// reply.
 type HeartbeatReply struct {
+	// Revoked: see LeaseReply.Revoked.
 	Revoked []int64
-	Done    bool
-	Fenced  bool
+	// Done: the run is complete; the worker should exit.
+	Done   bool
+	Fenced bool
 	// Stale: the caller's epoch predates this master incarnation.
 	Stale bool
 }

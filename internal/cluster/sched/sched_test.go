@@ -238,6 +238,21 @@ func dialRaw(t *testing.T, addr string) *rpc.Client {
 	return c
 }
 
+// report delivers attempts as one Sched.Report from a raw client.
+func report(t *testing.T, c *rpc.Client, join JoinReply, attempts ...Attempt) ReportReply {
+	t.Helper()
+	var rep ReportReply
+	if err := c.Call("Sched.Report", &ReportArgs{
+		WorkerID: join.WorkerID, Epoch: join.Epoch, Attempts: attempts,
+	}, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Stale && len(rep.Accepted) != len(attempts) {
+		t.Fatalf("report of %d attempts acknowledged %d", len(attempts), len(rep.Accepted))
+	}
+	return rep
+}
+
 // TestStealProtocol drives the steal path deterministically with raw RPC
 // clients: a straggler hoards the whole queue, an idle worker steals half
 // its backlog, revocations flow back, and a duplicate completion of a
@@ -311,22 +326,11 @@ func TestStealProtocol(t *testing.T) {
 	// Both report the same stolen task done: the thief (current holder)
 	// commits; the hoarder's late completion is a dropped duplicate.
 	stolen := leaseB.Tasks[0].ID
-	var repB ReportReply
-	if err := thief.Call("Sched.Report", &ReportArgs{
-		WorkerID: joinB.WorkerID, TaskID: stolen, Stats: exec.Stats{Matches: 5}, Epoch: joinB.Epoch,
-	}, &repB); err != nil {
-		t.Fatal(err)
-	}
-	if !repB.Accepted {
+	done := Attempt{TaskID: stolen, Stats: exec.Stats{Matches: 5}}
+	if !report(t, thief, joinB, done).Accepted[0] {
 		t.Error("thief's completion of stolen task not accepted")
 	}
-	var repA ReportReply
-	if err := hoarder.Call("Sched.Report", &ReportArgs{
-		WorkerID: joinA.WorkerID, TaskID: stolen, Stats: exec.Stats{Matches: 5}, Epoch: joinA.Epoch,
-	}, &repA); err != nil {
-		t.Fatal(err)
-	}
-	if repA.Accepted {
+	if report(t, hoarder, joinA, done).Accepted[0] {
 		t.Error("duplicate completion accepted: match double-count")
 	}
 	if got := reg.Counter("sched.tasks.duplicate").Value(); got != 1 {
@@ -337,9 +341,10 @@ func TestStealProtocol(t *testing.T) {
 	}
 }
 
-// TestDrainProtocol: Drain returns only once every live worker has seen
-// a Done=true reply — the finisher departs via its final ReportReply,
-// while a parked bystander holds Drain at false until its next Lease.
+// TestDrainProtocol: Drain returns only once every worker has hung up,
+// which a worker does on hearing Done — the finisher after its final
+// ReportReply, while a parked bystander holds Drain at false until its
+// next Lease tells it and it leaves.
 func TestDrainProtocol(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 30, EdgesPer: 3, Triad: 0.4, Seed: 7})
 	pl := bestPlan(t, gen.Triangle(), g, plan.OptimizedUncompressed)
@@ -363,7 +368,7 @@ func TestDrainProtocol(t *testing.T) {
 	}
 
 	// The finisher leases and completes every task; its last ReportReply
-	// carries Done=true, so it counts as departed immediately.
+	// carries Done=true, and it leaves.
 	for {
 		var lease LeaseReply
 		if err := finisher.Call("Sched.Lease", &LeaseArgs{WorkerID: joinA.WorkerID, Max: 64, Epoch: joinA.Epoch}, &lease); err != nil {
@@ -375,27 +380,23 @@ func TestDrainProtocol(t *testing.T) {
 		if len(lease.Tasks) == 0 {
 			t.Fatal("live run handed out no tasks")
 		}
-		var rep ReportReply
-		for _, wt := range lease.Tasks {
-			rep = ReportReply{}
-			if err := finisher.Call("Sched.Report", &ReportArgs{
-				WorkerID: joinA.WorkerID, TaskID: wt.ID, Epoch: joinA.Epoch,
-			}, &rep); err != nil {
-				t.Fatal(err)
-			}
+		attempts := make([]Attempt, len(lease.Tasks))
+		for i, wt := range lease.Tasks {
+			attempts[i].TaskID = wt.ID
 		}
-		if rep.Done {
+		if report(t, finisher, joinA, attempts...).Done {
 			break
 		}
 	}
 	if _, err := m.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	finisher.Close()
 
 	// The bystander has not spoken since the run finished: it would see
 	// an EOF if the master closed now, and Drain says so.
 	if m.Drain(50 * time.Millisecond) {
-		t.Fatal("Drain reported all workers departed while the bystander is still parked")
+		t.Fatal("Drain reported every worker gone while the bystander is still parked")
 	}
 	var lease LeaseReply
 	if err := bystander.Call("Sched.Lease", &LeaseArgs{WorkerID: joinB.WorkerID, Epoch: joinB.Epoch}, &lease); err != nil {
@@ -404,8 +405,9 @@ func TestDrainProtocol(t *testing.T) {
 	if !lease.Done {
 		t.Fatal("post-finish Lease did not report Done")
 	}
+	bystander.Close()
 	if !m.Drain(time.Second) {
-		t.Fatal("Drain still false after every worker observed Done")
+		t.Fatal("Drain still false after every worker heard Done and hung up")
 	}
 }
 

@@ -76,11 +76,13 @@ type leasedTask struct {
 	gen int
 }
 
-// Worker is one joined worker machine: a pull loop leasing task batches
-// from the master, Threads executor threads draining them, and a
-// heartbeat loop renewing the lease. Construct with StartWorker; the
-// worker runs in the background until the master reports the run done,
-// the connection drops, or Close/Shutdown/Kill.
+// Worker is one joined worker machine: a dispatcher leasing tasks ahead
+// of need into a local queue, Threads executor threads draining it into
+// an outbox of finished attempts, a reporter shipping the outbox to the
+// master one batch per round trip, and a heartbeat loop renewing the
+// lease. Construct with StartWorker; the worker runs in the background
+// until the master reports the run done, the connection drops, or
+// Close/Shutdown/Kill.
 type Worker struct {
 	name       string
 	masterAddr string
@@ -94,32 +96,65 @@ type Worker struct {
 	rejoinsC    *obs.Counter
 	dropStaleC  *obs.Counter
 
-	src        *exec.CachedSource
-	dialed     *kv.Client // non-nil when we own the store connection
-	heartbeat  time.Duration
-	leaseBatch int
+	src       *exec.CachedSource
+	dialed    *kv.Client // non-nil when we own the store connection
+	heartbeat time.Duration
+	threads   int
+	// leaseCap is the most tasks ever queued locally: the master's
+	// LeaseBatch, i.e. what one Lease call can hand out.
+	leaseCap int
 
 	quit      chan struct{}
 	quitOnce  sync.Once
 	drain     chan struct{}
 	drainOnce sync.Once
 	done      chan struct{}
+	// pulled wakes the dispatcher when a thread takes a task off the
+	// local queue. Capacity 1: a pending wake-up covers any number of
+	// pulls.
+	pulled chan struct{}
 
 	// rejoinMu serializes re-Join attempts so concurrent loops hitting
 	// the same dead session produce one replacement, not three.
 	rejoinMu sync.Mutex
 
 	mu      sync.Mutex
-	sess    *session // nil between a teardown and the next rejoin
+	cond    *sync.Cond // on mu: the outbox gained room, gained an attempt, or closed
+	sess    *session   // nil between a teardown and the next rejoin
 	gen     int
 	id      int  // last assigned WorkerID, for ID()
 	killed  bool // set by Kill: suppress graceful teardown reporting
 	err     error
 	revoked map[int64]struct{}
-	running map[int64]struct{}
-	stats   exec.Stats
-	tasks   int
+	// queue lists, in lease order, the tasks in the local queue that no
+	// thread has claimed yet.
+	queue []int64
+	// held is every task executing on a thread, or finished and not yet
+	// acknowledged (in the outbox or in a report in flight).
+	held map[int64]struct{}
+	// outbox holds finished attempts until the reporter takes them — all
+	// of them at once, so a batch is whatever finished during the
+	// previous report's round trip.
+	outbox       []Attempt
+	outboxBytes  int
+	outboxClosed bool // the threads have exited: nothing more will be enqueued
+	reporterGone bool // the reporter has exited: enqueued attempts would never ship
+	// The two measurements leasing ahead is sized from: the round trips
+	// of the Lease calls that returned tasks, and the executed tasks'
+	// spans.
+	leaseNs, spanNs int64
+	stats           exec.Stats
+	tasks           int
 }
+
+// The outbox is bounded in attempts and in estimated wire bytes; a
+// thread that finishes a task while it is full blocks until the
+// reporter empties it. An attempt bigger than the byte bound is admitted
+// only into an empty outbox, so it travels alone.
+const (
+	outboxItems = 64
+	outboxBytes = 1 << 20
+)
 
 // StartWorker dials the master at addr, joins, and starts executing.
 func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
@@ -192,14 +227,23 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		src:        src,
 		dialed:     dialed,
 		heartbeat:  join.HeartbeatEvery,
-		leaseBatch: 2 * cfg.Threads,
+		threads:    cfg.Threads,
+		leaseCap:   join.LeaseBatch,
 		quit:       make(chan struct{}),
 		drain:      make(chan struct{}),
 		done:       make(chan struct{}),
+		pulled:     make(chan struct{}, 1),
 		gen:        1,
 		id:         join.WorkerID,
 		revoked:    map[int64]struct{}{},
-		running:    map[int64]struct{}{},
+		held:       map[int64]struct{}{},
+	}
+	w.cond = sync.NewCond(&w.mu)
+	if w.leaseCap <= 0 {
+		w.leaseCap = 2 * cfg.Threads
+	}
+	if w.heartbeat <= 0 {
+		w.heartbeat = 250 * time.Millisecond
 	}
 	w.sess = &session{client: client, id: join.WorkerID, epoch: join.Epoch, gen: 1}
 	w.retryCtx, w.retryCancel = context.WithCancel(context.Background())
@@ -214,7 +258,7 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		client.Close()
 		return nil, fmt.Errorf("sched: labeled plan but join sent %d labels for %d vertices", len(join.Labels), join.NumVertices)
 	}
-	go w.run(prog, pl, ord, join, cfg.Threads)
+	go w.run(prog, pl, ord, join)
 	return w, nil
 }
 
@@ -244,8 +288,8 @@ func (w *Worker) Stats() (exec.Stats, int) {
 }
 
 // Close shuts the worker down gracefully: it stops leasing, finishes
-// and reports in-flight tasks, and disconnects. The master re-queues
-// anything it never reported.
+// the tasks its threads are executing, reports every finished attempt,
+// and disconnects. The master re-queues anything it never reported.
 func (w *Worker) Close() error {
 	w.stop(nil)
 	<-w.done
@@ -255,10 +299,13 @@ func (w *Worker) Close() error {
 // Shutdown drains the worker: it stops leasing new tasks but — unlike
 // Close — lets every task already leased (queued or executing) finish
 // and report before disconnecting, so a SIGTERM'd worker hands the
-// master completed work, not an expired lease. Blocks until the worker
-// has exited.
+// master completed work, not an expired lease. A drain with nothing
+// left to execute or report also ends any retry still in progress, so a
+// worker whose master is gone exits instead of retrying it. Blocks
+// until the worker has exited.
 func (w *Worker) Shutdown() error {
 	w.drainOnce.Do(func() { close(w.drain) })
+	w.finishIfDrained()
 	<-w.done
 	return nil
 }
@@ -278,14 +325,39 @@ func (w *Worker) Kill() {
 	w.stop(errors.New("sched: worker killed"))
 }
 
-// stop requests shutdown with the given cause (first cause wins).
+// stop requests shutdown with the given cause. The first call decides
+// how the worker exits — nil is a clean exit — and errors the loops run
+// into while winding down afterwards are not the cause of anything.
 func (w *Worker) stop(cause error) {
-	w.mu.Lock()
-	if w.err == nil {
+	w.quitOnce.Do(func() {
+		w.mu.Lock()
 		w.err = cause
+		w.mu.Unlock()
+		close(w.quit)
+	})
+}
+
+// finish ends the worker cleanly when nothing it could still do
+// matters: the master said the run is over, or a drain ran dry. Unlike
+// stop alone it also cancels the retry context, so no loop keeps
+// retrying — for the whole rejoin window — a master that has exited.
+func (w *Worker) finish() {
+	w.stop(nil)
+	w.retryCancel()
+}
+
+// finishIfDrained finishes a draining worker once it has no task
+// queued, executing, or awaiting acknowledgement.
+func (w *Worker) finishIfDrained() {
+	if !w.draining() {
+		return
 	}
+	w.mu.Lock()
+	dry := len(w.queue) == 0 && len(w.held) == 0
 	w.mu.Unlock()
-	w.quitOnce.Do(func() { close(w.quit) })
+	if dry {
+		w.finish()
+	}
 }
 
 func (w *Worker) stopped() bool {
@@ -319,12 +391,6 @@ func (w *Worker) session() *session {
 	return w.sess
 }
 
-func (w *Worker) curGen() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.gen
-}
-
 // teardown retires s: the connection is closed and, if s is still the
 // current session, the worker is left session-less until rejoin.
 func (w *Worker) teardown(s *session) {
@@ -337,12 +403,13 @@ func (w *Worker) teardown(s *session) {
 }
 
 // rejoin establishes a replacement session: dial, Join (under whatever
-// epoch the master now runs), bump the generation, and forget
-// session-scoped state — revocations and the running set referred to
-// leases that died with the old session. Returns a retryable error on
-// connection failure (the master may still be restarting) and a
-// permanent one when the worker is done for (killed, or the master now
-// serves a different job).
+// epoch the master now runs), bump the generation, and forget the
+// revocations, which referred to leases that died with the old session
+// (the held set stays: those tasks are still executing or unreported,
+// and the master ignores held IDs it has not leased to this identity).
+// Returns a retryable error on connection failure (the master may still
+// be restarting) and a permanent one when the worker is done for
+// (killed, or the master now serves a different job).
 func (w *Worker) rejoin() (*session, error) {
 	w.rejoinMu.Lock()
 	defer w.rejoinMu.Unlock()
@@ -378,7 +445,6 @@ func (w *Worker) rejoin() (*session, error) {
 	w.id = join.WorkerID
 	w.sess = &session{client: client, id: join.WorkerID, epoch: join.Epoch, gen: w.gen}
 	w.revoked = map[int64]struct{}{}
-	w.running = map[int64]struct{}{}
 	s := w.sess
 	w.mu.Unlock()
 	w.rejoinsC.Inc()
@@ -395,8 +461,8 @@ func (r *HeartbeatReply) staleEpoch() bool { return r.Stale }
 
 // callOnce performs one RPC attempt bounded by ctx. On ctx expiry the
 // call is abandoned but may still land on the master — which is exactly
-// how a retried Report becomes a duplicate delivery; the master's
-// by-task-ID dedup is what makes that safe.
+// how a retried Report becomes a duplicate delivery of its whole batch;
+// the master's by-task-ID dedup is what makes that safe.
 func callOnce(ctx context.Context, c *rpc.Client, method string, args, reply any) error {
 	call := c.Go(method, args, reply, make(chan *rpc.Call, 1))
 	select {
@@ -466,20 +532,31 @@ func callSched[R any](w *Worker, method string, mk func(id int, epoch uint64) an
 	return out, gen, nil
 }
 
-// run is the worker body: a dispatcher leasing batches into taskCh,
-// Threads executor goroutines draining it, and a heartbeat ticker.
-func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, join JoinReply, threads int) {
+// run is the worker body: a dispatcher leasing into taskCh, Threads
+// executor goroutines draining it into the outbox, the reporter
+// shipping the outbox, and a heartbeat ticker.
+func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, join JoinReply) {
 	defer close(w.done)
-	taskCh := make(chan leasedTask)
+	// Buffered to the lease cap: the dispatcher leases ahead of the
+	// threads so none of them sits out a Lease round trip, and it never
+	// holds more than one Lease call can hand out.
+	taskCh := make(chan leasedTask, w.leaseCap)
 
 	var tg sync.WaitGroup
-	for th := 0; th < threads; th++ {
+	for th := 0; th < w.threads; th++ {
 		tg.Add(1)
 		go func() {
 			defer tg.Done()
 			w.threadLoop(prog, pl, ord, join, taskCh)
 		}()
 	}
+
+	var rg sync.WaitGroup
+	rg.Add(1)
+	go func() {
+		defer rg.Done()
+		w.reportLoop()
+	}()
 
 	var hg sync.WaitGroup
 	hg.Add(1)
@@ -491,7 +568,14 @@ func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, j
 	w.dispatchLoop(taskCh)
 	close(taskCh)
 	tg.Wait()
-	w.quitOnce.Do(func() { close(w.quit) }) // release the heartbeater
+	// Every attempt that will ever finish is in the outbox: let the
+	// reporter ship what is left and exit.
+	w.mu.Lock()
+	w.outboxClosed = true
+	w.mu.Unlock()
+	w.cond.Broadcast()
+	rg.Wait()
+	w.stop(nil) // release the heartbeater
 	hg.Wait()
 	w.src.Close()
 	if w.dialed != nil {
@@ -503,17 +587,66 @@ func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, j
 	w.retryCancel()
 }
 
-// dispatchLoop pulls task batches from the master whenever the threads
-// are hungry and feeds them through taskCh. It returns on shutdown,
-// drain (graceful: queued tasks still execute and report), fencing
-// without a retry policy, or the run completing.
+// aheadLocked is how many tasks the threads start during a Lease round
+// trip: Threads × round trip ÷ mean task span, with the mean round trip
+// counted twice because its tail is long (a call queues behind the
+// journal fsync under the master's lock). Zero for tasks much longer
+// than a round trip, and until both have been measured. Two things are
+// sized from it. The dispatcher refills the local queue once half the
+// lease depth is free, so that half must outlast a round trip: the depth
+// is 2×(ahead+Threads) — for heavy tasks the fixed 2×Threads batch a
+// worker leased before it leased ahead — capped at what one Lease call
+// hands out. And the first ahead queued tasks are reported as Running:
+// the threads will have started them before a revocation could arrive,
+// so stealing them would only duplicate work. Caller holds w.mu.
+func (w *Worker) aheadLocked() int {
+	if w.leaseNs == 0 || w.spanNs == 0 {
+		return 0
+	}
+	ahead := int64(w.threads) * 2 * w.leaseNs / w.spanNs
+	if ahead > int64(w.leaseCap) {
+		return w.leaseCap
+	}
+	return int(ahead)
+}
+
+// smooth folds sample into an exponentially weighted mean (weight 1/8;
+// the first sample seeds it).
+func smooth(mean, sample int64) int64 {
+	if mean == 0 {
+		return sample
+	}
+	return mean + (sample-mean)/8
+}
+
+// dispatchLoop keeps the local queue filled to the lease depth. It
+// returns on shutdown, drain (graceful: queued tasks still execute and
+// report), fencing without a retry policy, or the run completing.
 func (w *Worker) dispatchLoop(taskCh chan<- leasedTask) {
+	empty := uint(0) // consecutive Lease replies without tasks
 	for {
 		if w.stopped() || w.draining() {
 			return
 		}
+		w.mu.Lock()
+		depth := 2 * (w.aheadLocked() + w.threads)
+		if depth > w.leaseCap {
+			depth = w.leaseCap
+		}
+		room := depth - len(w.queue)
+		w.mu.Unlock()
+		if 2*room < depth {
+			// More than half the depth is still queued: wait for a pull.
+			select {
+			case <-w.pulled:
+			case <-w.drain:
+			case <-w.quit:
+			}
+			continue
+		}
+		start := time.Now()
 		reply, gen, err := callSched[LeaseReply](w, "Sched.Lease", func(id int, epoch uint64) any {
-			return &LeaseArgs{WorkerID: id, Max: w.leaseBatch, Epoch: epoch}
+			return &LeaseArgs{WorkerID: id, Max: room, Epoch: epoch, Running: w.heldIDs()}
 		})
 		if err != nil {
 			w.stop(fmt.Errorf("sched: lease: %w", err))
@@ -532,33 +665,51 @@ func (w *Worker) dispatchLoop(taskCh chan<- leasedTask) {
 			continue
 		}
 		if reply.Done {
+			w.finish()
 			return
 		}
+		w.mu.Lock()
+		if len(reply.Tasks) > 0 {
+			empty = 0
+			w.leaseNs = smooth(w.leaseNs, time.Since(start).Nanoseconds())
+		}
+		w.revokeLocked(reply.Revoked)
 		for _, t := range reply.Tasks {
-			select {
-			case taskCh <- leasedTask{WireTask: t, gen: gen}:
-			case <-w.quit:
-				return
-			}
+			// A fresh lease supersedes an earlier revocation of the task.
+			delete(w.revoked, t.ID)
+			w.queue = append(w.queue, t.ID)
+		}
+		w.mu.Unlock()
+		for _, t := range reply.Tasks {
+			taskCh <- leasedTask{WireTask: t, gen: gen} // never blocks: len(queue) ≤ depth ≤ cap(taskCh)
 		}
 		if len(reply.Tasks) == 0 {
+			// Nothing to lease right now. Ask again after the suggested
+			// back-off, doubled for every empty reply in a row up to the
+			// heartbeat interval (floor 1ms: never spin on the master) —
+			// or as soon as a thread pulls, because the fewer tasks a
+			// worker holds the more a steal may give it.
 			backoff := reply.Backoff
-			if backoff <= 0 {
-				backoff = 10 * time.Millisecond
+			if backoff < time.Millisecond {
+				backoff = time.Millisecond
+			}
+			if backoff <<= empty; backoff < w.heartbeat {
+				empty++
+			} else {
+				backoff = w.heartbeat
 			}
 			select {
 			case <-time.After(backoff):
+			case <-w.pulled:
 			case <-w.drain:
-				return
 			case <-w.quit:
-				return
 			}
 		}
 	}
 }
 
 // threadLoop is one executor thread: run each task, buffer its
-// emissions, report the attempt.
+// emissions, hand the finished attempt to the outbox, start the next.
 func (w *Worker) threadLoop(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, join JoinReply, taskCh <-chan leasedTask) {
 	var matches [][]int64
 	var codes []*vcbc.Code
@@ -591,89 +742,214 @@ func (w *Worker) threadLoop(prog *exec.Program, pl *plan.Plan, ord *graph.TotalO
 	e := exec.NewExecutor(prog, w.src, join.NumVertices, ord, eopts)
 
 	for wt := range taskCh {
-		if w.taskRevoked(wt.ID) {
+		if !w.claim(wt) {
 			continue
 		}
-		if wt.gen != w.curGen() {
-			// Leased under a session that has since died: the master
-			// (old or new incarnation) already considers this lease
-			// lost and will re-queue the task, so running it here would
-			// only manufacture a duplicate.
-			w.dropStaleC.Inc()
-			continue
-		}
-		w.setRunning(wt.ID, true)
-		matches, codes = matches[:0], codes[:0]
 		sp := w.reg.StartSpan("cluster.task")
 		stats, err := e.Run(wt.Task)
 		d := sp.End()
-		w.setRunning(wt.ID, false)
 		if w.stopped() && w.isKilled() {
 			return // crashed: report nothing, let the lease expire
 		}
-		// Report under whatever session is current — a completed result
-		// is never thrown away. If the session died mid-task the retry
-		// path rejoins first, and the commit lands under the new
-		// identity and epoch; the master commits by task ID, so it does
-		// not matter who reports it (dedup drops it if someone else,
-		// or a previous incarnation's journal, got there first).
-		reply, _, cerr := callSched[ReportReply](w, "Sched.Report", func(id int, epoch uint64) any {
-			report := &ReportArgs{
-				WorkerID:   id,
-				Epoch:      epoch,
-				TaskID:     wt.ID,
-				DurationNs: d.Nanoseconds(),
+		a := Attempt{TaskID: wt.ID, DurationNs: d.Nanoseconds()}
+		if err != nil {
+			a.Err = err.Error()
+		} else {
+			a.Stats, a.Matches, a.Codes = stats, matches, codes
+		}
+		matches, codes = nil, nil // the attempt owns them now
+		w.enqueue(a)
+	}
+}
+
+// claim takes wt off the local queue's list and decides whether it
+// still runs: not after a stop, not when the master revoked it (stolen
+// from our backlog), and not when it was leased under a session that
+// has since died — the master (old or new incarnation) already
+// considers that lease lost and will re-queue the task, so running it
+// here would only manufacture a duplicate. A task that runs joins the
+// held set in the same step, so it is never neither queued nor held.
+func (w *Worker) claim(wt leasedTask) bool {
+	w.mu.Lock()
+	for i, id := range w.queue { // at or next to the front
+		if id == wt.ID {
+			w.queue = append(w.queue[:i], w.queue[i+1:]...)
+			break
+		}
+	}
+	_, revoked := w.revoked[wt.ID]
+	delete(w.revoked, wt.ID)
+	stale := wt.gen != w.gen
+	run := !w.stopped() && !revoked && !stale
+	if run {
+		w.held[wt.ID] = struct{}{}
+	}
+	w.mu.Unlock()
+	select {
+	case w.pulled <- struct{}{}:
+	default:
+	}
+	if !run {
+		if stale {
+			w.dropStaleC.Inc()
+		}
+		w.finishIfDrained()
+	}
+	return run
+}
+
+// wireSize estimates the attempt's encoded size: a fixed part for its
+// scalar fields plus eight bytes per emitted vertex id.
+func (a *Attempt) wireSize() int {
+	size := 128 + len(a.Err)
+	for _, f := range a.Matches {
+		size += 8 + 8*len(f)
+	}
+	for _, c := range a.Codes {
+		size += 32 + 8*(len(c.CoverVertices)+len(c.Helve)+len(c.FreeVertices))
+		for _, img := range c.Images {
+			size += 8 + 8*len(img)
+		}
+	}
+	return size
+}
+
+// enqueue hands a finished attempt to the reporter, blocking while the
+// outbox is full. Once the reporter is gone the worker is going down
+// with an error and the attempt is dropped; its lease will expire.
+func (w *Worker) enqueue(a Attempt) {
+	size := a.wireSize()
+	w.mu.Lock()
+	w.spanNs = smooth(w.spanNs, a.DurationNs)
+	for !w.reporterGone && (len(w.outbox) >= outboxItems ||
+		len(w.outbox) > 0 && w.outboxBytes+size > outboxBytes) {
+		w.cond.Wait()
+	}
+	if !w.reporterGone {
+		w.outbox = append(w.outbox, a)
+		w.outboxBytes += size
+	}
+	w.mu.Unlock()
+	w.cond.Broadcast()
+}
+
+// takeOutbox empties the outbox into a batch, waiting while there is
+// nothing to take. It returns nil once the threads have exited and the
+// outbox is empty.
+func (w *Worker) takeOutbox() []Attempt {
+	w.mu.Lock()
+	for len(w.outbox) == 0 && !w.outboxClosed {
+		w.cond.Wait()
+	}
+	batch := w.outbox
+	w.outbox, w.outboxBytes = nil, 0
+	w.mu.Unlock()
+	w.cond.Broadcast() // room again
+	return batch
+}
+
+// reportLoop is the reporter: it takes whatever the outbox holds, ships
+// it as one report, and repeats — so a batch is exactly the attempts
+// that finished during the previous round trip, one when the worker is
+// idle. It exits when the threads are done and the outbox is empty, or
+// when a report fails for good.
+func (w *Worker) reportLoop() {
+	defer func() {
+		w.mu.Lock()
+		w.reporterGone = true
+		w.mu.Unlock()
+		w.cond.Broadcast()
+	}()
+	for {
+		batch := w.takeOutbox()
+		if batch == nil || !w.ship(batch) {
+			return
+		}
+	}
+}
+
+// ship reports batch, reporting whether the reporter should carry on.
+// It reports under whatever session is current — a completed result is
+// never thrown away. If the session died since the tasks ran, the retry
+// path rejoins first and the commits land under the new identity and
+// epoch; the master commits by task ID, so it does not matter who
+// reports a task (dedup drops it if someone else, or a previous
+// incarnation's journal, got there first). A report that fails in
+// transit is retried at half the size, down to single attempts, and the
+// rest of the batch follows in chunks of the size that got through: on
+// a link that severs after a byte budget, progress is never worse than
+// one attempt per call.
+func (w *Worker) ship(batch []Attempt) bool {
+	n := len(batch)
+	for len(batch) > 0 {
+		if n > len(batch) {
+			n = len(batch)
+		}
+		sent := false
+		reply, _, err := callSched[ReportReply](w, "Sched.Report", func(id int, epoch uint64) any {
+			if sent && n > 1 {
+				n = (n + 1) / 2 // the previous attempt at this call went out and died
 			}
-			if err != nil {
-				report.Err = err.Error()
-			} else {
-				report.Stats = stats
-				report.Matches = matches
-				report.Codes = codes
-			}
-			return report
+			sent = true
+			return &ReportArgs{WorkerID: id, Epoch: epoch, Attempts: batch[:n], Running: w.heldIDs()}
 		})
-		if cerr != nil {
-			w.stop(fmt.Errorf("sched: report: %w", cerr))
-			return
+		if err != nil {
+			w.stop(fmt.Errorf("sched: report: %w", err))
+			return false
 		}
-		if err == nil && reply.Accepted {
-			w.mu.Lock()
-			w.stats.Add(stats)
-			w.tasks++
-			w.mu.Unlock()
+		if len(reply.Accepted) != n {
+			w.stop(fmt.Errorf("sched: report: master acknowledged %d of %d attempts", len(reply.Accepted), n))
+			return false
 		}
+		w.mu.Lock()
+		for i := range batch[:n] {
+			if reply.Accepted[i] {
+				w.stats.Add(batch[i].Stats)
+				w.tasks++
+			}
+			delete(w.held, batch[i].TaskID)
+		}
+		w.revokeLocked(reply.Revoked)
+		w.mu.Unlock()
 		if reply.Done {
-			w.quitOnce.Do(func() { close(w.quit) })
-			return
+			w.finish()
+			return false
 		}
+		batch = batch[n:]
+		w.finishIfDrained()
+	}
+	return true
+}
+
+// heldIDs snapshots what a call reports as Running: the held set, plus
+// the front of the local queue the threads are about to start (see
+// aheadLocked).
+func (w *Worker) heldIDs() []int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ahead := w.aheadLocked()
+	if ahead > len(w.queue) {
+		ahead = len(w.queue)
+	}
+	ids := make([]int64, 0, len(w.held)+ahead)
+	for id := range w.held {
+		ids = append(ids, id)
+	}
+	return append(ids, w.queue[:ahead]...)
+}
+
+// revokeLocked records tasks the master took back; claim drops them
+// when they come off the local queue. Caller holds w.mu.
+func (w *Worker) revokeLocked(ids []int64) {
+	for _, id := range ids {
+		w.revoked[id] = struct{}{}
 	}
 }
 
-func (w *Worker) taskRevoked(id int64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, ok := w.revoked[id]
-	return ok
-}
-
-func (w *Worker) setRunning(id int64, on bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if on {
-		w.running[id] = struct{}{}
-	} else {
-		delete(w.running, id)
-	}
-}
-
-// heartbeatLoop renews the lease and learns about revocations.
+// heartbeatLoop renews the lease and learns about revocations and the
+// end of the run when no other call is there to carry them.
 func (w *Worker) heartbeatLoop() {
-	interval := w.heartbeat
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(w.heartbeat)
 	defer t.Stop()
 	for {
 		select {
@@ -681,14 +957,8 @@ func (w *Worker) heartbeatLoop() {
 			return
 		case <-t.C:
 		}
-		w.mu.Lock()
-		running := make([]int64, 0, len(w.running))
-		for id := range w.running {
-			running = append(running, id)
-		}
-		w.mu.Unlock()
 		reply, gen, err := callSched[HeartbeatReply](w, "Sched.Heartbeat", func(id int, epoch uint64) any {
-			return &HeartbeatArgs{WorkerID: id, Running: running, Epoch: epoch}
+			return &HeartbeatArgs{WorkerID: id, Running: w.heldIDs(), Epoch: epoch}
 		})
 		if err != nil {
 			w.stop(fmt.Errorf("sched: heartbeat: %w", err))
@@ -704,12 +974,15 @@ func (w *Worker) heartbeatLoop() {
 			}
 			continue
 		}
-		if len(reply.Revoked) > 0 {
-			w.mu.Lock()
-			for _, id := range reply.Revoked {
-				w.revoked[id] = struct{}{}
-			}
-			w.mu.Unlock()
+		w.mu.Lock()
+		w.revokeLocked(reply.Revoked)
+		w.mu.Unlock()
+		if reply.Done {
+			// Nothing is left to do, and the master's Drain is waiting for
+			// us to hang up: leave now rather than at the dispatcher's
+			// next poll.
+			w.finish()
+			return
 		}
 	}
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Multi-process smoke test: build the real binaries, run one benu-master
-# and two benu-worker processes over loopback TCP on a small dataset,
-# and check the master's reported match count against the single-process
-# benu run of the same pattern × preset. Bounded to seconds — this is
+# Multi-process smoke test: build the real binaries, run one journaled
+# benu-master and two benu-worker processes over loopback TCP on a small
+# dataset, check the master's reported match count against the
+# single-process benu run of the same pattern × preset, and require both
+# workers to exit 0 within 2 s of the master. Bounded to seconds — this is
 # the CI gate that the shipped binaries actually deploy.
 set -euo pipefail
 
@@ -26,7 +27,7 @@ if [ -z "$ref" ]; then
     exit 1
 fi
 
-"$bin/benu-master" -pattern "$PATTERN" -preset "$PRESET" -listen "127.0.0.1:$PORT" >"$bin/master.out" 2>&1 &
+"$bin/benu-master" -pattern "$PATTERN" -preset "$PRESET" -listen "127.0.0.1:$PORT" -journal "$bin/job.journal" >"$bin/master.out" 2>&1 &
 master_pid=$!
 
 # Wait for the master to bind before pointing workers at it.
@@ -36,14 +37,35 @@ for _ in $(seq 1 50); do
 done
 
 "$bin/benu-worker" -master "127.0.0.1:$PORT" -threads 2 -name smoke-w1 >"$bin/w1.out" 2>&1 &
+w1_pid=$!
 "$bin/benu-worker" -master "127.0.0.1:$PORT" -threads 2 -name smoke-w2 >"$bin/w2.out" 2>&1 &
+w2_pid=$!
 
 if ! wait "$master_pid"; then
     echo "smoke_net: master failed" >&2
     cat "$bin/master.out" >&2
     exit 1
 fi
-wait
+# The workers hear "done" from the master before it exits, so they must
+# be gone, cleanly, right behind it — not retrying a master that left
+# for their whole -rejoin-for window.
+for _ in $(seq 1 20); do
+    kill -0 "$w1_pid" 2>/dev/null || kill -0 "$w2_pid" 2>/dev/null || break
+    sleep 0.1
+done
+for w in 1 2; do
+    pid_var="w${w}_pid"
+    if kill -0 "${!pid_var}" 2>/dev/null; then
+        echo "smoke_net: worker $w still running 2s after the master exited" >&2
+        tail -3 "$bin/w$w.out" >&2
+        exit 1
+    fi
+    if ! wait "${!pid_var}"; then
+        echo "smoke_net: worker $w exited non-zero" >&2
+        tail -3 "$bin/w$w.out" >&2
+        exit 1
+    fi
+done
 
 net=$(sed -n 's/^matches=\([0-9]*\).*/\1/p' "$bin/master.out")
 if [ "$net" != "$ref" ]; then
