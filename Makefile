@@ -110,9 +110,12 @@ tidy-check:
 	git diff --exit-code -- go.mod go.sum
 	@test -z "$$(git status --porcelain -- go.mod go.sum)" || { echo "go mod tidy changed go.mod/go.sum"; exit 1; }
 
-## bench: micro-benchmarks and quick-mode experiment wrappers
+## bench: micro-benchmarks and quick-mode experiment wrappers, plus the
+## DB cache's hit-path pair (BenchmarkCacheGet / BenchmarkCacheGetParallel;
+## for the scaling curve: go test -run '^$$' -bench CacheGet -cpu 1,2,4,8
+## ./internal/cache)
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cache
 
 ## bench-json: machine-readable data-plane benchmark snapshot — triangle
 ## and q4 on the ok-s dataset over local and TCP backends plus the

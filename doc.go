@@ -15,7 +15,8 @@
 //     per-thread triangle cache;
 //   - internal/kv — the distributed adjacency-set store (in-process and
 //     TCP/net-rpc backends);
-//   - internal/cache — the per-machine LRU database cache;
+//   - internal/cache — the per-machine database cache (lock-free reads,
+//     second-chance eviction);
 //   - internal/vcbc — the compressed-result codec;
 //   - internal/cluster — the simulated shared-nothing cluster with task
 //     generation and task splitting;

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"benu/internal/graph"
 )
 
 func TestLRUBasicHitMiss(t *testing.T) {
@@ -209,5 +211,51 @@ func TestLRUAppendMissing(t *testing.T) {
 	d := NewLRU(0)
 	if got := d.AppendMissing(nil, []int64{7, 8}); len(got) != 2 {
 		t.Fatalf("disabled cache AppendMissing = %v", got)
+	}
+}
+
+// TestHitAllocatesNothing pins the hit path's allocation behavior in both
+// forms a source runs end to end: a raw hit through Get and a compact hit
+// through GetList return what is stored, zero-copy.
+func TestHitAllocatesNothing(t *testing.T) {
+	c := NewLRU(1 << 20)
+	c.Put(1, []int64{10, 20, 30})
+	c.PutList(2, graph.EncodeAdjList([]int64{10, 20, 30}))
+	var n int
+	if allocs := testing.AllocsPerRun(1000, func() {
+		adj, _ := c.Get(1)
+		n += len(adj)
+	}); allocs != 0 {
+		t.Errorf("raw hit allocates %v per Get", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l, _ := c.GetList(2)
+		n += l.Len()
+	}); allocs != 0 {
+		t.Errorf("compact hit allocates %v per GetList", allocs)
+	}
+	if n != 2*1001*3 { // AllocsPerRun adds one warm-up call per form
+		t.Errorf("hits returned %d elements in total, want %d", n, 2*1001*3)
+	}
+}
+
+// TestNewEntrySurvivesItsInsertion pins make-room-then-insert: with every
+// resident entry referenced the sweep clears their bits and comes back
+// for the oldest; it never reaches the entry being installed.
+func TestNewEntrySurvivesItsInsertion(t *testing.T) {
+	c := NewLRU(2 * (8 + entryOverhead))
+	c.Put(1, []int64{1})
+	c.Put(2, []int64{2})
+	c.Get(1)
+	c.Get(2)
+	c.Put(3, []int64{3})
+	if !c.Contains(3) {
+		t.Error("the entry just installed was evicted by its own insertion")
+	}
+	if c.Contains(1) || !c.Contains(2) {
+		t.Errorf("victim should be the oldest entry: contains(1)=%v contains(2)=%v", c.Contains(1), c.Contains(2))
+	}
+	if c.Len() != 2 || c.Stats().Evictions != 1 {
+		t.Errorf("len = %d, evictions = %d", c.Len(), c.Stats().Evictions)
 	}
 }

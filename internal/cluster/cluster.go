@@ -527,9 +527,6 @@ func publishObs(reg *obs.Registry, res *Result) {
 	reg.Counter("cluster.tasks.split").Add(int64(res.SplitTasks))
 	reg.Counter("cluster.matches").Add(res.Matches)
 	reg.Counter("cluster.codes").Add(res.Codes)
-	reg.Counter("cluster.db.queries").Add(res.DBQueries)
-	reg.Counter("cluster.db.bytes_fetched").Add(res.BytesFetched)
-	reg.Counter("cluster.db.trips").Add(res.StoreTrips)
 	reg.Counter("cluster.result_bytes").Add(res.ResultBytes)
 	reg.Gauge("cluster.cache.hit_rate").Set(res.CacheHitRate)
 	reg.Gauge("cluster.wall_ns").Set(float64(res.Wall.Nanoseconds()))
@@ -537,16 +534,33 @@ func publishObs(reg *obs.Registry, res *Result) {
 		reg.Counter("cluster.deadline.expired").Inc()
 	}
 	workerBusy := reg.Histogram("cluster.worker.busy_ns")
-	var hits, misses, evictions, bytes, entries int64
 	for i := range res.PerWorker {
-		ws := &res.PerWorker[i]
-		workerBusy.Record(ws.BusyTime.Nanoseconds())
+		workerBusy.Record(res.PerWorker[i].BusyTime.Nanoseconds())
+	}
+	PublishMachines(reg, res.PerWorker)
+}
+
+// PublishMachines records the communication and DB-cache totals of the
+// given machines — the cluster.db.* and cache.* series — into reg. Both
+// runtimes call it when a run ends: cluster.Run over all its simulated
+// machines, a sched worker process over itself, so the shipped binaries
+// show hit rate and wire volume under -metrics too.
+func PublishMachines(reg *obs.Registry, machines []WorkerStats) {
+	var queries, fetched, trips, hits, misses, evictions, bytes, entries int64
+	for i := range machines {
+		ws := &machines[i]
+		queries += ws.RemoteQ
+		fetched += ws.RemoteB
+		trips += ws.RemoteT
 		hits += ws.Cache.Hits
 		misses += ws.Cache.Misses
 		evictions += ws.Cache.Evictions
 		bytes += ws.Cache.Bytes
 		entries += int64(ws.Cache.Entries)
 	}
+	reg.Counter("cluster.db.queries").Add(queries)
+	reg.Counter("cluster.db.bytes_fetched").Add(fetched)
+	reg.Counter("cluster.db.trips").Add(trips)
 	reg.Counter("cache.hits").Add(hits)
 	reg.Counter("cache.misses").Add(misses)
 	reg.Counter("cache.evictions").Add(evictions)

@@ -735,3 +735,50 @@ func TestLeaseLocalityProtocol(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerPublishesCacheAndWireSeries pins observability parity with
+// cluster.Run: when a worker finishes, its registry carries the machine's
+// cache.* and cluster.db.* totals, and every executor DBQ is accounted
+// for as exactly one cache hit or miss.
+func TestWorkerPublishesCacheAndWireSeries(t *testing.T) {
+	g := testGraph()
+	pl := bestPlan(t, gen.Q(4), g, plan.OptimizedUncompressed)
+	m, err := StartMaster("127.0.0.1:0", masterFor(t, pl, g, obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	wreg := obs.NewRegistry()
+	w, err := StartWorker(m.Addr(), WorkerConfig{
+		Threads: 2, Store: kv.NewLocal(g), Obs: wreg,
+		CacheBytes: g.SizeBytes() / 4, // under pressure, so evictions show
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitResult(t, m)
+	if err := w.Wait(); err != nil {
+		t.Fatalf("worker exit: %v", err)
+	}
+	for _, name := range []string{"cache.hits", "cache.misses", "cache.evictions",
+		"cluster.db.queries", "cluster.db.trips", "cluster.db.bytes_fetched"} {
+		if wreg.Counter(name).Value() == 0 {
+			t.Errorf("%s = 0 after a run", name)
+		}
+	}
+	for _, name := range []string{"cache.bytes", "cache.entries"} {
+		if wreg.Gauge(name).Value() == 0 {
+			t.Errorf("%s = 0 after a run", name)
+		}
+	}
+	reads := wreg.Counter("cache.hits").Value() + wreg.Counter("cache.misses").Value()
+	if dbq := wreg.Counter("exec.instr.dbq").Value(); reads != dbq {
+		t.Errorf("cache hits+misses = %d, executors ran %d DBQs", reads, dbq)
+	}
+	if reads != res.Stats.DBQueries {
+		t.Errorf("cache hits+misses = %d, master committed %d DBQs", reads, res.Stats.DBQueries)
+	}
+	if got, want := wreg.Counter("cluster.db.queries").Value(), wreg.Counter("cache.misses").Value(); got > want {
+		t.Errorf("cluster.db.queries = %d exceeds cache.misses = %d", got, want)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"benu/internal/cluster"
 	"benu/internal/exec"
 	"benu/internal/graph"
 	"benu/internal/kv"
@@ -578,6 +579,14 @@ func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, j
 	w.stop(nil) // release the heartbeater
 	hg.Wait()
 	w.src.Close()
+	// The source is settled: publish this machine's cache and wire totals,
+	// the series cluster.Run publishes for its simulated machines.
+	cluster.PublishMachines(w.reg, []cluster.WorkerStats{{
+		Cache:   w.src.Cache().Stats(),
+		RemoteQ: w.src.RemoteQueries(),
+		RemoteB: w.src.RemoteBytes(),
+		RemoteT: w.src.RemoteTrips(),
+	}})
 	if w.dialed != nil {
 		w.dialed.Close()
 	}

@@ -138,14 +138,14 @@ func newSourceObs(r *obs.Registry) *sourceObs {
 	}
 }
 
-// NewCachedSource wraps store with an LRU database cache of the given
+// NewCachedSource wraps store with a database cache of the given
 // byte capacity and default data-plane options. capacity ≤ 0 disables
 // caching (every query is remote).
 func NewCachedSource(store kv.Store, capacity int64) *CachedSource {
 	return NewCachedSourceWith(store, capacity, SourceOptions{})
 }
 
-// NewCachedSourceWith wraps store with an LRU database cache and the
+// NewCachedSourceWith wraps store with a database cache and the
 // given data-plane options.
 func NewCachedSourceWith(store kv.Store, capacity int64, opts SourceOptions) *CachedSource {
 	if opts.BatchSize <= 0 {
@@ -466,7 +466,7 @@ func (s *CachedSource) markPrefetched(keys []int64) {
 	s.so.pfInstalled.Add(int64(len(keys)))
 }
 
-// Cache exposes the underlying LRU (for stats).
+// Cache exposes the underlying DB cache (for stats).
 func (s *CachedSource) Cache() *cache.LRU { return s.cache }
 
 // RemoteQueries returns the number of keys fetched from the store (cache
