@@ -86,6 +86,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlanDecode -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzVCBCRoundTrip -fuzztime=$(FUZZTIME) ./internal/vcbc
 	$(GO) test -run='^$$' -fuzz=FuzzCSRDecode -fuzztime=$(FUZZTIME) ./internal/csr
+	$(GO) test -run='^$$' -fuzz=FuzzKVRequestFrame -fuzztime=$(FUZZTIME) ./internal/kv
+	$(GO) test -run='^$$' -fuzz=FuzzKVReplyFrame -fuzztime=$(FUZZTIME) ./internal/kv
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/cluster/sched/journal
 
 ## vet: stock static analysis
@@ -113,9 +115,10 @@ tidy-check:
 ## bench: micro-benchmarks and quick-mode experiment wrappers, plus the
 ## DB cache's hit-path pair (BenchmarkCacheGet / BenchmarkCacheGetParallel;
 ## for the scaling curve: go test -run '^$$' -bench CacheGet -cpu 1,2,4,8
-## ./internal/cache)
+## ./internal/cache) and the store wire's loopback round trip
+## (BenchmarkTCPTrip: 1 key, 64 keys, 64 keys from every P at once)
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cache
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cache ./internal/kv
 
 ## bench-json: machine-readable data-plane benchmark snapshot — triangle
 ## and q4 on the ok-s dataset over local and TCP backends plus the

@@ -150,8 +150,8 @@ func run(rc runConfig) error {
 	return nil
 }
 
-// start loads the graph, plans the pattern, serves the storage nodes,
-// and starts the master.
+// start loads the graph, plans the pattern, binds the control-plane
+// address, serves the storage nodes, and starts the master.
 func start(rc runConfig) (*deployment, error) {
 	p, err := gen.PatternByName(rc.pattern)
 	if err != nil {
@@ -192,12 +192,22 @@ func start(rc runConfig) (*deployment, error) {
 	if rc.partitions <= 0 {
 		rc.partitions = 1
 	}
+	// Claim the control-plane address before the storage nodes open their
+	// ephemeral listeners: when -listen names a port in the ephemeral
+	// range, the kernel is free to hand that very port to a ":0" store
+	// partition, and the master would then die on "address already in
+	// use" with its workers spinning on "connection refused".
+	ln, err := net.Listen("tcp", rc.listen)
+	if err != nil {
+		return nil, fmt.Errorf("listen %s: %w", rc.listen, err)
+	}
 	servers, addrs, err := serveStores(g, rc.partitions, rc.storeListen)
 	if err != nil {
+		ln.Close()
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	m, err := sched.StartMaster(rc.listen, sched.MasterConfig{
+	m, err := sched.ServeMaster(ln, sched.MasterConfig{
 		Plan:          best.Plan,
 		NumVertices:   g.NumVertices(),
 		Ord:           graph.NewTotalOrder(g),

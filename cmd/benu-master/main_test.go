@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,5 +68,48 @@ func TestMasterEndToEnd(t *testing.T) {
 	}
 	if res.Stats.DBQueries == 0 {
 		t.Error("no DB queries recorded: workers did not dial the storage nodes")
+	}
+}
+
+// TestStartBindsControlPlaneBeforeStores pins the bind order in start:
+// the -listen address is claimed before the storage nodes open their
+// ":0" listeners. With the order reversed, the kernel may hand a store
+// partition the very port -listen names (any port in the ephemeral range
+// qualifies) and the master dies on "address already in use".
+//
+// To make that collision likely instead of a 1-in-2500 event, the test
+// holds the ports just below the requested one busy: Linux scans upward
+// from a random start for a free ephemeral port, so every start landing
+// in the busy run is steered onto the requested port (~6 % of ":0"
+// listens with 800 neighbours held; 100 starts × 2 partitions would miss
+// the reversed order about once in 10^5 runs).
+func TestStartBindsControlPlaneBeforeStores(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "edges.txt")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n0 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := probe.Addr().(*net.TCPAddr).Port
+	probe.Close() // just released: squarely inside the ephemeral range
+	for k := 1; k <= 800; k++ {
+		if ln, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port-k)); err == nil {
+			defer ln.Close()
+		}
+	}
+	for i := 0; i < 100; i++ {
+		d, err := start(runConfig{
+			pattern:    "triangle",
+			graphPath:  path,
+			listen:     fmt.Sprintf("127.0.0.1:%d", port),
+			partitions: 2,
+			lease:      3 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("start %d on 127.0.0.1:%d: %v", i, port, err)
+		}
+		d.close()
 	}
 }

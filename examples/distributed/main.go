@@ -1,7 +1,7 @@
 // Distributed deployment: the full Fig. 2 architecture over real TCP.
 //
 // The data graph is hash-partitioned across three storage-node processes
-// (stdlib net/rpc servers on loopback — HBase's role in the paper), and a
+// (kv.Serve storage nodes on loopback — HBase's role in the paper), and a
 // simulated cluster of worker machines queries them on demand through
 // per-machine database caches. The run prints the communication ledger:
 // queries answered by the cache versus queries that crossed the network.

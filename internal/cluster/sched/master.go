@@ -258,6 +258,24 @@ type schedService struct{ m *Master }
 // use Addr to learn the bound address, Wait for the result, and Close
 // to shut down.
 func StartMaster(addr string, cfg MasterConfig) (*Master, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("sched: listen %s: %w", addr, err)
+	}
+	return ServeMaster(ln, cfg)
+}
+
+// ServeMaster is StartMaster on a listener the caller already bound —
+// for a process that must claim its control-plane address before it
+// opens other ephemeral listeners, which the kernel could otherwise
+// place on that very port. The master owns ln from here on: it is closed
+// by Close, or before returning an error.
+func ServeMaster(ln net.Listener, cfg MasterConfig) (m *Master, err error) {
+	defer func() {
+		if err != nil {
+			ln.Close()
+		}
+	}()
 	if cfg.Plan == nil || cfg.NumVertices <= 0 || cfg.Ord == nil {
 		return nil, fmt.Errorf("sched: MasterConfig needs Plan, NumVertices, and Ord")
 	}
@@ -279,7 +297,7 @@ func StartMaster(addr string, cfg MasterConfig) (*Master, error) {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	m := &Master{
+	m = &Master{
 		cfg:           cfg,
 		planBytes:     planBytes,
 		ranks:         cfg.Ord.Ranks(),
@@ -339,15 +357,9 @@ func StartMaster(addr string, cfg MasterConfig) (*Master, error) {
 	m.epochGauge.Set(float64(m.epoch))
 	m.res.Epoch = m.epoch
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		m.closeJournalLocked()
-		return nil, fmt.Errorf("sched: listen %s: %w", addr, err)
-	}
 	m.listener = ln
 	m.rpcSrv = rpc.NewServer()
 	if err := m.rpcSrv.RegisterName("Sched", &schedService{m}); err != nil {
-		ln.Close()
 		m.closeJournalLocked()
 		return nil, err
 	}

@@ -91,59 +91,24 @@ func routeOne(np, n int, vs []int64, serve func(p int, keys []int64, idxs []int)
 	return serve(int(v)%np, vs, oneIdx)
 }
 
-// BatchGetArgs is the RPC request for AdjService.BatchGetCompact.
-type BatchGetArgs struct {
-	Vertices []int64
-}
-
-// BatchGetCompactReply is the RPC response for AdjService.BatchGetCompact:
-// one varint-delta encoded adjacency list per requested vertex. This is
-// the compact wire format — the bytes on the socket are (modulo gob
-// framing) the bytes the client installs into its DB cache.
-type BatchGetCompactReply struct {
-	Lists [][]byte
-}
-
-// BatchGetCompact returns the compact adjacency lists of args.Vertices
-// in one round trip.
-func (s *AdjService) BatchGetCompact(args *BatchGetArgs, reply *BatchGetCompactReply) error {
-	lists, err := s.store.GetAdjBatch(args.Vertices)
-	if err != nil {
-		return err
-	}
-	reply.Lists = make([][]byte, len(lists))
-	for i, l := range lists {
-		reply.Lists[i] = l.Bytes()
-	}
-	return nil
-}
-
-// GetAdjBatch implements Store for the TCP client over the compact wire
-// format: keys are grouped by owning partition and each partition is
-// asked once. Fail-fast: the first failing partition call fails the
-// whole batch with a nil result. Received payloads are validated once
-// (Validate walks the encoding) so downstream lazy decodes cannot fail
-// on corrupt bytes.
+// GetAdjBatch implements Store for the TCP client: keys are grouped by
+// owning partition and each partition is asked once (in maxBatchKeys
+// slices, should a group ever exceed one request frame). Fail-fast: the
+// first failing round trip fails the whole batch with a nil result.
+// Received payloads are validated once, in decodeReply, so downstream
+// lazy decodes cannot fail on corrupt bytes.
 func (c *Client) GetAdjBatch(vs []int64) ([]graph.AdjList, error) {
 	out := make([]graph.AdjList, len(vs))
 	err := c.routeBatch(vs, func(p int, keys []int64, idxs []int) error {
-		var reply BatchGetCompactReply
-		if err := c.call(p, "AdjService.BatchGetCompact", &BatchGetArgs{Vertices: keys}, &reply); err != nil {
-			return fmt.Errorf("kv: compact batch get: %w", err)
-		}
-		if len(reply.Lists) != len(keys) {
-			return fmt.Errorf("kv: compact batch get returned %d lists for %d keys", len(reply.Lists), len(keys))
-		}
-		var bytes int64
-		for j, i := range idxs {
-			l := graph.AdjListFromBytes(reply.Lists[j])
-			if err := l.Validate(); err != nil {
-				return fmt.Errorf("kv: compact batch get, key %d: %w", keys[j], err)
+		for len(keys) > 0 {
+			k := min(len(keys), maxBatchKeys)
+			bytes, err := c.call(p, keys[:k], idxs[:k], out)
+			if err != nil {
+				return fmt.Errorf("kv: batch get from %s: %w", c.addrs[p], err)
 			}
-			out[i] = l
-			bytes += l.SizeBytes()
+			c.metrics.RecordBatch(k, bytes)
+			keys, idxs = keys[k:], idxs[k:]
 		}
-		c.metrics.RecordBatch(len(keys), bytes)
 		return nil
 	})
 	if err != nil {

@@ -18,9 +18,10 @@
 //     (replicated.go).
 //   - Disk: an immutable mmap'd CSR file built by `benu-store build`,
 //     served zero-copy (disk.go / internal/csr).
-//   - TCP server/client (server.go): a real networked store over stdlib
-//     net/rpc, used by the distributed example, the networked control
-//     plane, and integration tests.
+//   - TCP server/client (server.go): a real networked store speaking the
+//     length-prefixed binary wire of wire.go on pooled connections, used
+//     by the distributed example, the networked control plane, and
+//     integration tests.
 //   - Mutable: an updatable store for dynamic-graph queries (mutable.go).
 //
 // Decorators compose over any backend: Observed (latency histograms),

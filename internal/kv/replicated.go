@@ -181,7 +181,7 @@ func (s *Partitioned) servePart(p int, keys []int64) ([]graph.AdjList, error) {
 
 // replicaRetryable reports whether another replica might succeed where
 // this one failed. Application-level errors from a remote handler
-// (rpc.ServerError: the round trip worked, the key was rejected) and
+// (ServerError: the round trip worked, the key was rejected) and
 // permanent or caller-cancellation errors would repeat on every replica,
 // so they are not worth a failover.
 func replicaRetryable(err error) bool {

@@ -1,33 +1,27 @@
 package kv
 
 import (
-	"errors"
+	"bufio"
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 
 	"benu/internal/graph"
 )
 
 // This file provides the networked backend: an adjacency-set store served
-// over TCP with stdlib net/rpc. A distributed deployment runs one Server
-// per storage node, each holding a hash partition of the data graph, and
-// every worker machine connects a Client to all of them. The distributed
-// example and the integration tests exercise this path end to end; the
-// simulated cluster defaults to the in-process backends for speed.
+// over TCP in the binary frame format of wire.go. A distributed
+// deployment runs one Server per storage node, each holding a hash
+// partition of the data graph, and every worker machine connects a Client
+// to all of them. The distributed example and the integration tests
+// exercise this path end to end; the simulated cluster defaults to the
+// in-process backends for speed.
 
-// AdjService is the RPC-exported adjacency store. The wire protocol is
-// compact-only: BatchGetCompact (batch.go) serves varint-delta AdjList
-// payloads, single-key reads are one-element batches.
-type AdjService struct {
-	store Store
-}
-
-// Server is one storage node: a TCP listener serving an AdjService.
+// Server is one storage node: a TCP listener serving a Store, one
+// goroutine per connection.
 type Server struct {
 	listener net.Listener
-	rpcSrv   *rpc.Server
+	store    Store
 	wg       sync.WaitGroup
 
 	mu     sync.Mutex
@@ -43,11 +37,7 @@ func Serve(addr string, store Store) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kv: listen %s: %w", addr, err)
 	}
-	srv := &Server{listener: ln, rpcSrv: rpc.NewServer()}
-	if err := srv.rpcSrv.RegisterName("AdjService", &AdjService{store: store}); err != nil {
-		ln.Close()
-		return nil, err
-	}
+	srv := &Server{listener: ln, store: store}
 	srv.wg.Add(1)
 	go srv.acceptLoop()
 	return srv, nil
@@ -74,11 +64,45 @@ func (s *Server) acceptLoop() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.rpcSrv.ServeConn(conn)
+			s.serveConn(conn)
+			conn.Close()
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
 		}()
+	}
+}
+
+// serveConn answers requests on conn, one at a time and inline — read a
+// frame, ask the store, encode into the connection's reply buffer, one
+// Write — until the peer hangs up, the connection fails, or the peer
+// sends something that is not a request (the caller then closes conn).
+// A store error is the peer's answer, not the connection's end.
+//
+//benulint:hotpath the storage node's per-request loop; all three buffers are connection-owned and reused
+func (s *Server) serveConn(conn net.Conn) {
+	br := bufio.NewReader(conn)
+	var (
+		req, rep []byte
+		keys     []int64
+		err      error
+	)
+	for {
+		if req, err = readFrame(br, req, maxRequestFrame); err != nil {
+			return
+		}
+		if keys, err = decodeRequest(req, keys); err != nil {
+			return
+		}
+		if lists, err := s.store.GetAdjBatch(keys); err != nil {
+			rep = appendErrorReply(rep, err.Error())
+		} else {
+			rep = appendReply(rep, lists)
+		}
+		if _, err = conn.Write(rep); err != nil {
+			return
+		}
+		rep = retained(rep) // req never outgrows maxRequestFrame, which is below the bound
 	}
 }
 
@@ -126,15 +150,45 @@ type Client struct {
 // connection was likely severed by the same event (a storage-node
 // restart kills all of them at once).
 type connPool struct {
-	addr string
-	mu   sync.Mutex
-	idle []*rpc.Client
+	addr   string
+	mu     sync.Mutex
+	idle   []*wireConn
+	closed bool // Client.Close ran: connections still out are closed on put
+}
+
+// wireConn is one pooled connection. Between get and put it belongs to
+// one caller, which encodes into, writes from, and reads back into buf
+// itself — no reader goroutine, no request ids.
+type wireConn struct {
+	conn net.Conn
+	br   *bufio.Reader
+	buf  []byte // the request frame, then the reply frame; reused across round trips
+}
+
+// roundTrip asks the node for keys (at most maxBatchKeys), installs list
+// j at out[idxs[j]], and returns the payload bytes received. A
+// ServerError leaves the connection in sync and reusable; after any
+// other error it must be closed.
+//
+//benulint:hotpath every DB cache miss and prefetch batch of every executor thread passes through here
+func (w *wireConn) roundTrip(keys []int64, idxs []int, out []graph.AdjList) (int64, error) {
+	w.buf = appendRequest(w.buf, keys)
+	if _, err := w.conn.Write(w.buf); err != nil {
+		return 0, err
+	}
+	var err error
+	if w.buf, err = readFrame(w.br, w.buf, maxReplyFrame); err != nil {
+		return 0, err
+	}
+	n, err := decodeReply(w.buf, idxs, out)
+	w.buf = retained(w.buf)
+	return n, err
 }
 
 // get returns a connection and whether it came from the pool (a pooled
 // connection may be stale; a fresh dial proves the server reachable
 // right now).
-func (p *connPool) get() (c *rpc.Client, pooled bool, err error) {
+func (p *connPool) get() (c *wireConn, pooled bool, err error) {
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
 		c := p.idle[n-1]
@@ -147,16 +201,23 @@ func (p *connPool) get() (c *rpc.Client, pooled bool, err error) {
 	return c, false, err
 }
 
-func (p *connPool) dial() (*rpc.Client, error) {
+func (p *connPool) dial() (*wireConn, error) {
 	conn, err := net.Dial("tcp", p.addr)
 	if err != nil {
 		return nil, fmt.Errorf("kv: dial %s: %w", p.addr, err)
 	}
-	return rpc.NewClient(conn), nil
+	return &wireConn{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
-func (p *connPool) put(c *rpc.Client) {
+// put parks c for the next caller — unless the client was closed while c
+// was out, when nobody will flush the pool again and c is closed here.
+func (p *connPool) put(c *wireConn) {
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		c.conn.Close()
+		return
+	}
 	p.idle = append(p.idle, c)
 	p.mu.Unlock()
 }
@@ -166,7 +227,7 @@ func (p *connPool) flush() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, c := range p.idle {
-		c.Close()
+		c.conn.Close()
 	}
 	p.idle = nil
 }
@@ -184,55 +245,49 @@ func Dial(addrs []string, numVertices int) (*Client, error) {
 	return c, nil
 }
 
-// call runs one RPC against partition p through its connection pool.
+// call runs one round trip against partition p through its connection
+// pool (arguments as wireConn.roundTrip).
 //
 // Outcomes, in order of health:
 //
 //   - success, or an application-level error the server returned
-//     (rpc.ServerError): the connection is fine and goes back to the
-//     pool — a "vertex not stored" reply must not cost a socket.
-//   - transport error on a pooled connection: the connection is stale
-//     (the server restarted, the socket was severed). It and every idle
-//     sibling are discarded, and the call is retried once on a fresh
-//     dial — reads are idempotent, and a live server must not look dead
-//     just because the pool remembers its previous life.
-//   - transport error on a freshly dialed connection: the server really
-//     is unreachable; the error propagates (kv.Resilient adds backoff
-//     and circuit breaking on top).
-func (c *Client) call(p int, method string, args, reply any) error {
+//     (ServerError): the connection is fine and goes back to the pool — a
+//     "vertex not stored" reply must not cost a socket.
+//   - any other error on a pooled connection: the connection is stale
+//     (the server restarted, the socket was severed) or out of sync. It
+//     and every idle sibling are discarded, and the call is retried once
+//     on a fresh dial — reads are idempotent, and a live server must not
+//     look dead just because the pool remembers its previous life.
+//   - any other error on a freshly dialed connection: the server really
+//     is unreachable or not speaking the protocol; the error propagates
+//     (kv.Resilient adds backoff and circuit breaking on top).
+func (c *Client) call(p int, keys []int64, idxs []int, out []graph.AdjList) (int64, error) {
 	pool := c.pools[p]
-	conn, pooled, err := pool.get()
+	wc, pooled, err := pool.get()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	err = conn.Call(method, args, reply)
+	n, err := wc.roundTrip(keys, idxs, out)
 	if err == nil || isServerError(err) {
-		pool.put(conn)
-		return err
+		pool.put(wc)
+		return n, err
 	}
-	conn.Close()
+	wc.conn.Close()
 	pool.flush()
 	if !pooled {
-		return err
+		return 0, err
 	}
-	conn, derr := pool.dial()
+	wc, derr := pool.dial()
 	if derr != nil {
-		return err // report the original failure; the redial added nothing
+		return 0, err // report the original failure; the redial added nothing
 	}
-	err = conn.Call(method, args, reply)
+	n, err = wc.roundTrip(keys, idxs, out)
 	if err != nil && !isServerError(err) {
-		conn.Close()
-		return err
+		wc.conn.Close()
+		return 0, err
 	}
-	pool.put(conn)
-	return err
-}
-
-// isServerError reports whether err is an application-level error
-// returned by the remote handler (the RPC round trip itself succeeded).
-func isServerError(err error) bool {
-	var se rpc.ServerError
-	return errors.As(err, &se)
+	pool.put(wc)
+	return n, err
 }
 
 // NumVertices implements Store.
@@ -241,9 +296,13 @@ func (c *Client) NumVertices() int { return c.n }
 // Metrics exposes the client-observed traffic counters.
 func (c *Client) Metrics() *Metrics { return &c.metrics }
 
-// Close drops all pooled connections.
+// Close drops all pooled connections; one still out on a call is closed
+// when that call returns it.
 func (c *Client) Close() {
 	for _, p := range c.pools {
+		p.mu.Lock()
+		p.closed = true
+		p.mu.Unlock()
 		p.flush()
 	}
 }

@@ -29,12 +29,13 @@ var Paths = []string{
 	"internal/graph",
 	"internal/csr",
 	"internal/cluster/sched/journal",
+	"internal/kv",
 }
 
 // Analyzer is the decode-safety check.
 var Analyzer = &analysis.Analyzer{
 	Name: "decodesafe",
-	Doc: "forbids panic in the wire-decode packages (varint, vcbc, plan, graph, csr, journal): " +
+	Doc: "forbids panic in the wire-decode packages (varint, vcbc, plan, graph, csr, journal, kv): " +
 		"decoders return errors, they do not crash workers on corrupt frames; Must* constructors " +
 		"are exempt, other sites need //benulint:panicok",
 	Run: run,
