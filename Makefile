@@ -116,7 +116,9 @@ tidy-check:
 ## DB cache's hit-path pair (BenchmarkCacheGet / BenchmarkCacheGetParallel;
 ## for the scaling curve: go test -run '^$$' -bench CacheGet -cpu 1,2,4,8
 ## ./internal/cache) and the store wire's loopback round trip
-## (BenchmarkTCPTrip: 1 key, 64 keys, 64 keys from every P at once)
+## (BenchmarkTCPTrip: 1 key, 64 keys, 64 keys from every P at once;
+## BenchmarkTCPBatchTwoPartitions: 8 and 64 keys over two nodes in a
+## child process, one partition after the other vs scatter-then-gather)
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cache ./internal/kv
 

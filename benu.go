@@ -128,8 +128,10 @@ type Options struct {
 	// finished run. When Metrics is nil a private registry is created for
 	// the run, so the snapshot covers exactly this enumeration.
 	Observer func(*MetricsSnapshot)
-	// Prefetch turns on the ENU-stage batched adjacency prefetcher
-	// (synchronous unless Cluster.PrefetchWorkers says otherwise).
+	// Prefetch turns on the batched adjacency prefetcher — each task
+	// window's start vertices and each ENU loop's candidates travel as
+	// batches ahead of demand (synchronous unless
+	// Cluster.PrefetchWorkers says otherwise).
 	// Ignored when Cluster is set — configure ClusterConfig.Prefetch
 	// directly there.
 	Prefetch bool

@@ -58,6 +58,7 @@ func main() {
 		degreeFilter = flag.Bool("degree-filter", false, "add degree filtering conditions (§IV-A extension)")
 		retry        = flag.Int("retry", 2, "task re-executions per failure or expired lease (0 = off)")
 		lease        = flag.Duration("lease", 3*time.Second, "heartbeat silence tolerated before a worker's leases expire")
+		prefetch     = flag.Bool("prefetch", false, "workers batch-prefetch adjacency: each lease batch's start vertices, and ENU candidates before enumerating")
 		metrics      = flag.Bool("metrics", false, "print the run's metrics snapshot (see docs/METRICS.md)")
 		verbose      = flag.Bool("v", false, "print the execution plan")
 	)
@@ -68,7 +69,7 @@ func main() {
 		listen: *listen, journal: *journalPath,
 		partitions: *partitions, storeListen: *storeListen, tau: *tau,
 		uncompressed: *uncompressed, degreeFilter: *degreeFilter,
-		retry: *retry, lease: *lease, metrics: *metrics, verbose: *verbose,
+		retry: *retry, lease: *lease, prefetch: *prefetch, metrics: *metrics, verbose: *verbose,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "benu-master:", err)
 		os.Exit(1)
@@ -87,6 +88,7 @@ type runConfig struct {
 	degreeFilter               bool
 	retry                      int
 	lease                      time.Duration
+	prefetch                   bool
 	metrics                    bool
 	verbose                    bool
 }
@@ -216,6 +218,7 @@ func start(rc runConfig) (*deployment, error) {
 		Tau:           rc.tau,
 		TaskRetries:   rc.retry,
 		LeaseDuration: rc.lease,
+		Prefetch:      rc.prefetch,
 		StoreAddrs:    addrs,
 		JournalPath:   rc.journal,
 		Obs:           reg,

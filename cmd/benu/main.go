@@ -50,7 +50,7 @@ func main() {
 		uncompressed = flag.Bool("uncompressed", false, "disable VCBC compression")
 		degreeFilter = flag.Bool("degree-filter", false, "add degree filtering conditions (§IV-A extension)")
 		cliqueCache  = flag.Bool("clique-cache", false, "generalize the triangle cache to pattern cliques (§IV-B extension)")
-		prefetch     = flag.Bool("prefetch", false, "batch-prefetch ENU candidate adjacency before enumerating")
+		prefetch     = flag.Bool("prefetch", false, "batch-prefetch adjacency: each task window's start vertices, and ENU candidates before enumerating")
 		pfWorkers    = flag.Int("prefetch-workers", 0, "async prefetch goroutines per machine (0 = synchronous inline)")
 		compact      = flag.Bool("compact", false, "use the compact varint-delta adjacency encoding in cache and fetches")
 		csrPath      = flag.String("csr", "", "serve adjacency from mmap'd CSR file(s) built by benu-store: a single file, or the prefix of <path>.<part> shards")

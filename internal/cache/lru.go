@@ -9,10 +9,10 @@
 // pointers keyed by vertex id; an entry is immutable once published and
 // is replaced by pointer, never edited. A hit loads three pointers,
 // bumps a counter stripe only its own goroutine writes, and — only while
-// they are still clear/set — sets the entry's reference bit and consumes
-// its prefetched flag. Once the reference bit is set a hit stores to no
-// memory another thread reads, so threads hammering the same hub vertex
-// share its cache lines read-only.
+// it is still set/clear — consumes the entry's prefetched flag or, on a
+// later read, sets its reference bit. Once the reference bit is set a hit
+// stores to no memory another thread reads, so threads hammering the same
+// hub vertex share its cache lines read-only.
 //
 // Writes (Put, PutList, eviction) and the exact accounting (Stats, Len,
 // Bytes) serialize on one mutex. Eviction is second-chance (CLOCK): the
@@ -175,7 +175,12 @@ func (c *LRU) lookup(v int64) *entry {
 }
 
 // read is the demand read shared by Get and GetList: count the hit or
-// miss, give the entry its second chance, consume the prefetched flag.
+// miss, then either consume the prefetched flag or give the entry its
+// second chance — never both. The read that consumes the flag stands for
+// the demand miss the prefetch replaced, and a miss hands out the fetched
+// value without touching any reference bit; were the consuming read to
+// set the bit, every prefetched read-once list would outlive a sweep the
+// same list fetched on demand would not, and push re-read hubs out.
 //
 //benulint:hotpath every DBQ instruction of every thread lands here
 func (c *LRU) read(v int64) *entry {
@@ -186,13 +191,14 @@ func (c *LRU) read(v int64) *entry {
 		return nil
 	}
 	s.hits.Add(1)
-	if !e.ref.Load() {
-		e.ref.Store(true)
-	}
 	if e.prefetched.Load() && e.prefetched.CompareAndSwap(true, false) {
 		if fn := c.onPFUse.Load(); fn != nil {
 			(*fn)()
 		}
+		return e
+	}
+	if !e.ref.Load() {
+		e.ref.Store(true)
 	}
 	return e
 }
@@ -247,8 +253,9 @@ func (c *LRU) OnPrefetchUse(fn func()) {
 
 // MarkPrefetched flags the given keys (those of them currently cached)
 // as installed ahead of demand. The flag is consumed by the first Get or
-// GetList that reads the entry, firing the OnPrefetchUse hook; eviction
-// simply drops it. Takes no lock.
+// GetList that reads the entry, firing the OnPrefetchUse hook and leaving
+// the reference bit clear (see read); eviction simply drops it. Takes no
+// lock.
 func (c *LRU) MarkPrefetched(keys []int64) {
 	for _, v := range keys {
 		if e := c.lookup(v); e != nil {
@@ -275,6 +282,18 @@ func (c *LRU) AppendMissing(dst, vs []int64) []int64 {
 // keys that a batch fetch would only re-install.
 func (c *LRU) Contains(v int64) bool {
 	return c.lookup(v) != nil
+}
+
+// Peek returns the cached set of v in the form it is stored (as Put or
+// PutList left it), off the books: no counter moves and neither flag
+// changes. The source uses it under its single-flight lock, to see a
+// list that a flight installed after the caller's counted miss.
+func (c *LRU) Peek(v int64) (adj []int64, list graph.AdjList, ok bool) {
+	e := c.lookup(v)
+	if e == nil {
+		return nil, graph.AdjList{}, false
+	}
+	return e.adj, e.list, true
 }
 
 // Put inserts the adjacency set of v, evicting second-chance victims

@@ -184,6 +184,68 @@ func TestLRUPrefetchCoverage(t *testing.T) {
 	}
 }
 
+// TestPrefetchedReadEarnsNoSecondChance pins the CLOCK rule that keeps
+// prefetching from costing bytes: the read that consumes an entry's
+// prefetched mark stands for the demand miss the prefetch replaced, and a
+// miss sets no reference bit — so that read leaves the bit clear, the
+// next one sets it, and an entry nobody marked behaves as it always did.
+func TestPrefetchedReadEarnsNoSecondChance(t *testing.T) {
+	one := []int64{7}
+	size := int64(len(one))*8 + entryOverhead
+	c := NewLRU(2 * size)
+	c.Put(1, one)
+	c.Put(2, one)
+	c.MarkPrefetched([]int64{1})
+
+	c.Get(1)
+	if c.lookup(1).ref.Load() {
+		t.Fatal("the mark-consuming read set the reference bit")
+	}
+	c.Get(2)
+	if !c.lookup(2).ref.Load() {
+		t.Fatal("the first read of an unmarked entry did not set the reference bit")
+	}
+	// Both entries have been read once; the prefetched one is the victim.
+	c.Put(3, one)
+	if c.Contains(1) || !c.Contains(2) {
+		t.Fatalf("after one read each, eviction kept prefetched=%v unmarked=%v, want false/true",
+			c.Contains(1), c.Contains(2))
+	}
+
+	c.Put(1, one)
+	c.MarkPrefetched([]int64{1})
+	c.Get(1)
+	c.Get(1)
+	if !c.lookup(1).ref.Load() {
+		t.Fatal("the second read of a prefetched entry did not set the reference bit")
+	}
+}
+
+// TestLRUPeekIsOffTheBooks: Peek hands out what a hit would, and leaves
+// counters, reference bit and prefetched mark as they were.
+func TestLRUPeekIsOffTheBooks(t *testing.T) {
+	c := NewLRU(1 << 20)
+	c.Put(1, []int64{10, 11})
+	c.PutList(2, graph.EncodeAdjList([]int64{20}))
+	c.MarkPrefetched([]int64{1})
+
+	if adj, list, ok := c.Peek(1); !ok || len(adj) != 2 || !list.IsZero() {
+		t.Fatalf("Peek(raw) = %v, %v, %v", adj, list, ok)
+	}
+	if adj, list, ok := c.Peek(2); !ok || adj != nil || list.Len() != 1 {
+		t.Fatalf("Peek(compact) = %v, %v, %v", adj, list, ok)
+	}
+	if _, _, ok := c.Peek(3); ok {
+		t.Fatal("Peek of an uncached key reported a hit")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("Peek touched counters: %+v", st)
+	}
+	if e := c.lookup(1); e.ref.Load() || !e.prefetched.Load() {
+		t.Fatalf("Peek touched flags: ref=%v prefetched=%v", e.ref.Load(), e.prefetched.Load())
+	}
+}
+
 func TestLRUAppendMissing(t *testing.T) {
 	c := NewLRU(1 << 20)
 	c.Put(2, []int64{1})

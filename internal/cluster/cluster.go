@@ -46,10 +46,12 @@ type Config struct {
 	// TriangleCacheEntries bounds each thread's triangle cache
 	// (0 disables it).
 	TriangleCacheEntries int
-	// Prefetch turns on the ENU-stage adjacency prefetcher: before an
-	// enumeration loop whose candidates will be DB-queried, the whole
-	// candidate set is handed to the machine's source and fetched in
-	// batched store round trips.
+	// Prefetch turns on the batched adjacency prefetcher, at both places a
+	// machine knows keys ahead of demand: the start vertices of each
+	// window of PrefetchBatchSize tasks of its queue are fetched when the
+	// window's first task is popped, and before an enumeration loop whose
+	// candidates will be DB-queried the whole candidate set is handed to
+	// the machine's source — batched store round trips either way.
 	Prefetch bool
 	// PrefetchWorkers is the number of background prefetch goroutines per
 	// machine. 0 (with Prefetch on) fetches synchronously inline — fully
@@ -59,7 +61,8 @@ type Config struct {
 	// varint-delta encoding: batched fetches travel and cache as encoded
 	// bytes, and executors decode into per-instruction scratch.
 	CompactAdjacency bool
-	// PrefetchBatchSize caps keys per batched round trip (0 = default 64).
+	// PrefetchBatchSize caps keys per batched round trip, and is the
+	// length of the start-vertex prefetch window (0 = default 64).
 	PrefetchBatchSize int
 	// CollectTaskTimes records per-task wall durations (Exp-4).
 	CollectTaskTimes bool
@@ -324,6 +327,12 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 				Ctx:             runCtx,
 			})
 			queue := queues[w]
+			// window is the start-vertex prefetch window in tasks; 0 when
+			// prefetch is off.
+			window := 0
+			if cfg.Prefetch {
+				window = src.BatchSize()
+			}
 			var next int
 			var qmu sync.Mutex
 			var retryQ []taskAttempt
@@ -331,7 +340,10 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 			// already holds warm cache entries, and draining it first
 			// bounds the failure window. Retried pops do not touch the
 			// dispatch accounting — the task was already counted when it
-			// was first popped.
+			// was first popped. The thread that pops the first task of a
+			// window fetches the whole window's start vertices before it
+			// runs its own; a sibling whose task is in the same window
+			// joins that batch through the source's single-flight table.
 			pop := func() (taskAttempt, bool) {
 				if runCtx.Err() != nil {
 					cancelled.Store(true)
@@ -343,20 +355,27 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 					return taskAttempt{}, false
 				}
 				qmu.Lock()
-				defer qmu.Unlock()
 				if n := len(retryQ); n > 0 {
 					ta := retryQ[n-1]
 					retryQ = retryQ[:n-1]
+					qmu.Unlock()
 					return ta, true
 				}
-				if next >= len(queue) {
+				i := next
+				if i < len(queue) {
+					next++
+				}
+				qmu.Unlock()
+				if i >= len(queue) {
 					return taskAttempt{}, false
 				}
-				t := queue[next]
-				next++
 				dispatched.Add(1)
 				queueDepth.Add(-1)
-				return taskAttempt{t: t}, true
+				if window > 0 && i%window == 0 {
+					ahead := queue[i:min(i+window, len(queue))]
+					src.PrefetchStarts(len(ahead), func(j int) int64 { return ahead[j].Start })
+				}
+				return taskAttempt{t: queue[i]}, true
 			}
 			requeue := func(ta taskAttempt) {
 				qmu.Lock()

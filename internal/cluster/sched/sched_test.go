@@ -77,10 +77,14 @@ func TestNetRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// No store query is answered until both workers have joined:
+			// otherwise worker 0 can finish the small job before worker 1
+			// exists, and WorkersJoined is 1.
+			gate := &gatedStore{Store: kv.NewLocal(g), release: make(chan struct{})}
 			var workers []*Worker
 			for i := 0; i < 2; i++ {
 				w, err := StartWorker(m.Addr(), WorkerConfig{
-					Threads: 2, Store: kv.NewLocal(g), Obs: reg,
+					Threads: 2, Store: gate, Obs: reg,
 					Name: fmt.Sprintf("w%d", i),
 				})
 				if err != nil {
@@ -88,6 +92,7 @@ func TestNetRoundTrip(t *testing.T) {
 				}
 				workers = append(workers, w)
 			}
+			close(gate.release)
 			res := waitResult(t, m)
 			for _, w := range workers {
 				if err := w.Wait(); err != nil {

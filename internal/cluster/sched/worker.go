@@ -98,6 +98,7 @@ type Worker struct {
 	dropStaleC  *obs.Counter
 
 	src       *exec.CachedSource
+	prefetch  bool       // JoinReply.Prefetch: fetch each lease batch's start vertices ahead of the threads
 	dialed    *kv.Client // non-nil when we own the store connection
 	heartbeat time.Duration
 	threads   int
@@ -226,6 +227,7 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		rejoinsC:   reg.Counter("sched.worker.rejoins"),
 		dropStaleC: reg.Counter("sched.worker.dropped_stale"),
 		src:        src,
+		prefetch:   join.Prefetch,
 		dialed:     dialed,
 		heartbeat:  join.HeartbeatEvery,
 		threads:    cfg.Threads,
@@ -628,9 +630,11 @@ func smooth(mean, sample int64) int64 {
 	return mean + (sample-mean)/8
 }
 
-// dispatchLoop keeps the local queue filled to the lease depth. It
-// returns on shutdown, drain (graceful: queued tasks still execute and
-// report), fencing without a retry policy, or the run completing.
+// dispatchLoop keeps the local queue filled to the lease depth and, with
+// prefetch on, fetches each lease batch's start vertices before the
+// threads see its tasks. It returns on shutdown, drain (graceful: queued
+// tasks still execute and report), fencing without a retry policy, or
+// the run completing.
 func (w *Worker) dispatchLoop(taskCh chan<- leasedTask) {
 	empty := uint(0) // consecutive Lease replies without tasks
 	for {
@@ -689,6 +693,13 @@ func (w *Worker) dispatchLoop(taskCh chan<- leasedTask) {
 			w.queue = append(w.queue, t.ID)
 		}
 		w.mu.Unlock()
+		if w.prefetch {
+			// The lease batch is this machine's task window: one store
+			// batch per partition for its start vertices, before the
+			// threads see the tasks. A task stolen or revoked afterwards
+			// has cost its one list.
+			w.src.PrefetchStarts(len(reply.Tasks), func(i int) int64 { return reply.Tasks[i].Task.Start })
+		}
 		for _, t := range reply.Tasks {
 			taskCh <- leasedTask{WireTask: t, gen: gen} // never blocks: len(queue) ≤ depth ≤ cap(taskCh)
 		}

@@ -26,12 +26,15 @@ import (
 //   - Compact mode (SourceOptions.Compact): fetches travel and cache as
 //     varint-delta graph.AdjList payloads — typically 4-8x smaller than
 //     raw int64 slices — served to the executor through GetList.
-//   - Prefetch: the ENU-stage prefetcher hands over a whole candidate
-//     set; uncached keys are fetched in batched round trips. With
-//     PrefetchWorkers == 0 the batch runs inline and errors propagate to
-//     the caller (fully deterministic); with workers the batch is
-//     speculative — it runs in the background and failures are counted,
-//     not raised, because the demand path will re-fetch and surface them.
+//   - Prefetch: keys known ahead of demand arrive in whole sets — an
+//     ENU loop's candidates from the executor, a task window's start
+//     vertices from the runtime (PrefetchStarts) — and the uncached ones
+//     are fetched in batched round trips. With PrefetchWorkers == 0 the
+//     batch runs inline and errors return to the caller (fully
+//     deterministic); with workers the batch runs in the background.
+//     Either way a failed batch is counted (source.prefetch.errors); a
+//     caller may drop the error, because the demand path will re-fetch
+//     and surface it.
 //
 // A CachedSource is safe for concurrent use by all worker threads of a
 // machine. Call Close when done (it stops the async prefetch workers; a
@@ -222,12 +225,6 @@ func (s *CachedSource) GetList(v int64) (graph.AdjList, error) {
 	return graph.EncodeAdjList(fl.adj), nil
 }
 
-// fetchOne resolves a cache miss through the single-flight table: the
-// first caller becomes the flight leader (one store query, one accounting
-// update, one cache install); concurrent callers block on the flight and
-// share its result. A waiter whose leader failed retries with its own
-// fetch, so transient store errors are not broadcast beyond the flight
-// that hit them.
 // ctxErr reports the source context's cancellation, if any.
 func (s *CachedSource) ctxErr() error {
 	if s.opts.Ctx != nil {
@@ -236,6 +233,16 @@ func (s *CachedSource) ctxErr() error {
 	return nil
 }
 
+// fetchOne resolves a cache miss through the single-flight table: the
+// first caller becomes the flight leader (one store query, one accounting
+// update, one cache install); concurrent callers block on the flight and
+// share its result. A waiter whose leader failed retries with its own
+// fetch, so transient store errors are not broadcast beyond the flight
+// that hit them. A flight installs its list before it leaves the table,
+// so a caller that finds no flight looks in the cache once more under the
+// lock: a flight (a window batch, typically) that came and went between
+// the caller's miss and its taking the lock left the list there, and
+// leading a second fetch for it would count the key twice.
 func (s *CachedSource) fetchOne(v int64) (*flight, error) {
 	if err := s.ctxErr(); err != nil {
 		return nil, err
@@ -250,6 +257,10 @@ func (s *CachedSource) fetchOne(v int64) (*flight, error) {
 				return fl, nil
 			}
 			continue // leader failed; retry with our own fetch
+		}
+		if adj, list, ok := s.cache.Peek(v); ok {
+			s.mu.Unlock()
+			return &flight{compact: !list.IsZero(), adj: adj, list: list}, nil
 		}
 		fl := &flight{done: make(chan struct{}), compact: s.opts.Compact}
 		s.flights[v] = fl
@@ -306,6 +317,35 @@ func (s *CachedSource) account(keys int, bytes int64) {
 	s.remoteBytes.Add(bytes)
 }
 
+// BatchSize returns the keys one batched round trip carries at most —
+// also the length of the task window the runtimes prefetch start
+// vertices over.
+func (s *CachedSource) BatchSize() int { return s.opts.BatchSize }
+
+// PrefetchStarts is the task-window prefetch both runtimes share: the
+// start vertices of the next n tasks a machine will run (start(i) is
+// task i's; equal neighbours — the subtasks of one split vertex — count
+// once) go to Prefetch as one set, so a window costs one batch per
+// partition where every task used to open with a single-key miss. The
+// fetch is speculative: its error is dropped here — Prefetch has counted
+// it — and never fails a pop, a task attempt or a retry budget. Without a
+// cache there is nowhere to install a window, and none is fetched.
+func (s *CachedSource) PrefetchStarts(n int, start func(i int) int64) {
+	if s.capacity <= 0 {
+		return
+	}
+	p := graph.BorrowInts()
+	vs := (*p)[:0]
+	for i := 0; i < n; i++ {
+		if v := start(i); len(vs) == 0 || vs[len(vs)-1] != v {
+			vs = append(vs, v)
+		}
+	}
+	_ = s.Prefetch(vs) // the demand path re-fetches and surfaces it
+	*p = vs
+	graph.ReturnInts(p)
+}
+
 // Prefetch implements Prefetcher: batch-fetch the uncached keys of vs
 // into the cache ahead of demand. Synchronous mode (PrefetchWorkers == 0)
 // fetches inline and returns the first batch error; asynchronous mode
@@ -317,7 +357,7 @@ func (s *CachedSource) Prefetch(vs []int64) error {
 	if s.capacity <= 0 || len(vs) == 0 {
 		return nil
 	}
-	// The uncached-key filter runs once per ENU loop; in synchronous mode
+	// The uncached-key filter runs once per set; in synchronous mode
 	// the scratch is pooled so steady-state prefetching allocates nothing.
 	// Asynchronous batches escape into the worker queue and keep their
 	// own fresh backing array.
@@ -357,23 +397,24 @@ func (s *CachedSource) Prefetch(vs []int64) error {
 }
 
 // prefetchWorker drains the async queue. Failures are speculative —
-// counted, never raised — because any key the worker failed to install
-// will be re-fetched (and its error surfaced) by the demand path.
+// counted by fetchBatch, never raised — because any key the worker failed
+// to install will be re-fetched (and its error surfaced) by the demand
+// path.
 func (s *CachedSource) prefetchWorker() {
 	defer s.wg.Done()
 	for batch := range s.queue {
-		if err := s.fetchBatch(batch); err != nil {
-			s.so.pfErrors.Inc()
-		}
+		_ = s.fetchBatch(batch)
 	}
 }
 
 // fetchBatch fetches one batch of keys in a single batched store round
 // trip and installs the results. Keys already in flight are skipped (the
-// flight leader will install them); this fetch leads a flight for every
-// remaining key so demand misses dedup against the prefetch. The install
-// honors the store contract: on error nothing is installed (the store
-// returned no partial results to install).
+// flight leader will install them), as are keys a flight has installed
+// since the caller looked (see fetchOne); this fetch leads a flight for
+// every remaining key so demand misses dedup against the prefetch. The
+// install honors the store contract: on error nothing is installed (the
+// store returned no partial results to install) and the batch is counted
+// in source.prefetch.errors, inline or in the background.
 func (s *CachedSource) fetchBatch(keys []int64) error {
 	if err := s.ctxErr(); err != nil {
 		return err
@@ -394,8 +435,8 @@ func (s *CachedSource) fetchBatch(keys []int64) error {
 	}
 	s.mu.Lock()
 	for _, v := range keys {
-		if _, ok := s.flights[v]; ok {
-			continue
+		if _, ok := s.flights[v]; ok || s.cache.Contains(v) {
+			continue // in flight, or installed since the caller filtered keys
 		}
 		fl := &flight{done: make(chan struct{}), compact: s.opts.Compact}
 		s.flights[v] = fl
@@ -438,6 +479,7 @@ func (s *CachedSource) fetchBatch(keys []int64) error {
 		}
 	}
 	if err != nil {
+		s.so.pfErrors.Inc()
 		for _, fl := range fls {
 			fl.err = err
 		}

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -12,14 +13,15 @@ func TestRouteBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun counts are not meaningful")
 	}
-	c := &Client{n: 1 << 20, pools: make([]*connPool, 4)}
+	const np, n = 4, 1 << 20
+	var scratch sync.Pool
 	vs := make([]int64, 64)
 	for i := range vs {
-		vs[i] = int64(i * 37 % c.n)
+		vs[i] = int64(i * 37 % n)
 	}
 	serve := func(p int, keys []int64, idxs []int) error { return nil }
 	run := func() {
-		if err := c.routeBatch(vs, serve); err != nil {
+		if err := routeBatch(&scratch, np, n, vs, serve); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,11 +44,11 @@ func TestRouteBatchSingleKeyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun counts are not meaningful")
 	}
-	c := &Client{n: 1 << 20, pools: make([]*connPool, 4)}
+	var scratch sync.Pool
 	vs := []int64{12345}
 	serve := func(p int, keys []int64, idxs []int) error { return nil }
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := c.routeBatch(vs, serve); err != nil {
+		if err := routeBatch(&scratch, 4, 1<<20, vs, serve); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -59,12 +61,15 @@ func TestRouteBatchSingleKeyAllocs(t *testing.T) {
 // must preserve: partitions served ascending, positions in input order,
 // keys aligned with positions, out-of-range vertices rejected.
 func TestRouteBatchGrouping(t *testing.T) {
-	c := &Client{n: 100, pools: make([]*connPool, 3)}
+	var scratch sync.Pool
+	route := func(vs []int64, serve func(p int, keys []int64, idxs []int) error) error {
+		return routeBatch(&scratch, 3, 100, vs, serve)
+	}
 	vs := []int64{5, 3, 7, 0, 9, 4, 6}
 	var gotParts []int
 	var gotKeys [][]int64
 	var gotIdxs [][]int
-	err := c.routeBatch(vs, func(p int, keys []int64, idxs []int) error {
+	err := route(vs, func(p int, keys []int64, idxs []int) error {
 		gotParts = append(gotParts, p)
 		gotKeys = append(gotKeys, append([]int64(nil), keys...))
 		gotIdxs = append(gotIdxs, append([]int(nil), idxs...))
@@ -87,10 +92,10 @@ func TestRouteBatchGrouping(t *testing.T) {
 			}
 		}
 	}
-	if err := c.routeBatch([]int64{100}, func(int, []int64, []int) error { return nil }); err == nil {
+	if err := route([]int64{100}, func(int, []int64, []int) error { return nil }); err == nil {
 		t.Error("out-of-range vertex not rejected")
 	}
-	if err := c.routeBatch([]int64{-1}, func(int, []int64, []int) error { return nil }); err == nil {
+	if err := route([]int64{-1}, func(int, []int64, []int) error { return nil }); err == nil {
 		t.Error("negative vertex not rejected")
 	}
 }

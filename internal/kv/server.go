@@ -137,8 +137,8 @@ type Client struct {
 	pools []*connPool
 	// metrics counts remote traffic observed by this client.
 	metrics Metrics
-	// scratch pools per-partition routing buffers for routeBatch: batch
-	// gets run on every executor thread's hot path, and rebuilding the
+	// scratch pools the *clientScratch of multi-key batches: they run on
+	// every executor thread's hot path, and rebuilding the
 	// partition→positions grouping per call was the dominant per-batch
 	// allocation.
 	scratch sync.Pool
@@ -170,12 +170,28 @@ type wireConn struct {
 // ServerError leaves the connection in sync and reusable; after any
 // other error it must be closed.
 //
-//benulint:hotpath every DB cache miss and prefetch batch of every executor thread passes through here
+//benulint:hotpath every DB cache demand miss of every executor thread passes through here
 func (w *wireConn) roundTrip(keys []int64, idxs []int, out []graph.AdjList) (int64, error) {
-	w.buf = appendRequest(w.buf, keys)
-	if _, err := w.conn.Write(w.buf); err != nil {
+	if err := w.send(keys); err != nil {
 		return 0, err
 	}
+	return w.receive(idxs, out)
+}
+
+// send is the first half of a round trip: encode the request and write it.
+//
+//benulint:hotpath once per round trip
+func (w *wireConn) send(keys []int64) error {
+	w.buf = appendRequest(w.buf, keys)
+	_, err := w.conn.Write(w.buf)
+	return err
+}
+
+// receive is the second half: read the reply to the request send wrote
+// and decode it (results and errors as roundTrip).
+//
+//benulint:hotpath once per round trip
+func (w *wireConn) receive(idxs []int, out []graph.AdjList) (int64, error) {
 	var err error
 	if w.buf, err = readFrame(w.br, w.buf, maxReplyFrame); err != nil {
 		return 0, err
@@ -246,7 +262,8 @@ func Dial(addrs []string, numVertices int) (*Client, error) {
 }
 
 // call runs one round trip against partition p through its connection
-// pool (arguments as wireConn.roundTrip).
+// pool (arguments as wireConn.roundTrip): every single-key read, and each
+// partition of a batch whose gather failed.
 //
 // Outcomes, in order of health:
 //

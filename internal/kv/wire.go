@@ -16,7 +16,9 @@ import (
 // The store wire format: a length-prefixed binary request/response
 // protocol spoken directly on a TCP connection that one caller owns for
 // the whole round trip (connPool hands a connection to one executor
-// thread at a time, so nothing is multiplexed and nothing needs an id).
+// thread at a time, so nothing is multiplexed and nothing needs an id;
+// a batch spanning partitions holds one connection per partition, writes
+// every request, then reads every reply — see Client.gather).
 //
 //	request  [u32 len][uvarint count][uvarint vertex id]...
 //	reply    [u32 len][statusOK][uvarint count]([uvarint n][n AdjList bytes])...
@@ -34,9 +36,10 @@ const (
 	frameHeaderLen = 4
 
 	// maxBatchKeys caps the keys of one request frame. It is three orders
-	// of magnitude above the executor's prefetch batch (64 keys) and
+	// of magnitude above the prefetch batch and task window (64 keys) and
 	// bounds the server's per-connection key buffer at 512 KiB; the
-	// client splits larger batches, so the cap is invisible to callers.
+	// client cuts a longer batch into slices of this many keys before it
+	// groups them by partition, so the cap is invisible to callers.
 	maxBatchKeys = 1 << 16
 
 	// maxRequestFrame is the largest request body a server reads: the

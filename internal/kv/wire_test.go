@@ -479,7 +479,9 @@ func (s *allocFreeStore) NumVertices() int { return 1 << 20 }
 // lets a cached list outlive the connection's frame buffer — and the
 // node, whose buffers are warm, none: AllocsPerRun counts the whole
 // process, so the serving goroutine's codec is inside the measurement.
-// A 64-key batch costs 1 + 64 by the same arithmetic.
+// A 64-key batch costs 1 + 64 by the same arithmetic, and exactly as much
+// when it spans two nodes: the grouping and the connections the gather
+// holds between its two phases live in pooled scratch.
 func TestTCPTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun counts are not meaningful")
@@ -488,16 +490,24 @@ func TestTCPTripAllocs(t *testing.T) {
 	for i := range store.lists {
 		store.lists[i] = graph.EncodeAdjList([]int64{int64(i), int64(i) + 3, int64(i) + 400})
 	}
-	srv, err := Serve("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv, err := Serve("127.0.0.1:0", store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs = append(addrs, srv.Addr())
 	}
-	defer srv.Close()
-	client, err := Dial([]string{srv.Addr()}, store.NumVertices())
-	if err != nil {
-		t.Fatal(err)
+	dial := func(addrs []string) *Client {
+		client, err := Dial(addrs, store.NumVertices())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(client.Close)
+		return client
 	}
-	defer client.Close()
+	oneNode, twoNodes := dial(addrs[:1]), dial(addrs)
 
 	one := []int64{12345}
 	batch := make([]int64, 64)
@@ -506,14 +516,16 @@ func TestTCPTripAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
+		client *Client
 		keys   []int64
 		budget float64
 	}{
-		{"single key", one, 2},
-		{"64 keys", batch, 1 + 64},
+		{"single key", oneNode, one, 2},
+		{"64 keys", oneNode, batch, 1 + 64},
+		{"64 keys over two nodes", twoNodes, batch, 1 + 64},
 	} {
 		get := func() {
-			if _, err := client.GetAdjBatch(tc.keys); err != nil {
+			if _, err := tc.client.GetAdjBatch(tc.keys); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,8 +3,10 @@
 # benu-master and two benu-worker processes over loopback TCP on a small
 # dataset, check the master's reported match count against the
 # single-process benu run of the same pattern × preset, and require both
-# workers to exit 0 within 2 s of the master. Bounded to seconds — this is
-# the CI gate that the shipped binaries actually deploy.
+# workers to exit 0 within 2 s of the master; then the same job again with
+# benu-master -prefetch, which must also cut the workers' store trips
+# below the task count. Bounded to seconds — this is the CI gate that the
+# shipped binaries actually deploy.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -27,56 +29,78 @@ if [ -z "$ref" ]; then
     exit 1
 fi
 
-"$bin/benu-master" -pattern "$PATTERN" -preset "$PRESET" -listen "127.0.0.1:$PORT" -journal "$bin/job.journal" >"$bin/master.out" 2>&1 &
-master_pid=$!
+# deploy <tag> [master flags]: one journaled master and two workers on
+# the job; sets $net (the master's match count) and leaves the processes'
+# output in $bin/<tag>-{master,w1,w2}.out.
+deploy() {
+    local tag=$1
+    shift
+    local out="$bin/$tag"
+    "$bin/benu-master" -pattern "$PATTERN" -preset "$PRESET" -listen "127.0.0.1:$PORT" -journal "$out.journal" "$@" >"$out-master.out" 2>&1 &
+    local master_pid=$!
 
-# Wait for the master to bind before pointing workers at it.
-for _ in $(seq 1 50); do
-    grep -q "serving tasks" "$bin/master.out" 2>/dev/null && break
-    sleep 0.1
-done
+    # Wait for the master to bind before pointing workers at it.
+    for _ in $(seq 1 50); do
+        grep -q "serving tasks" "$out-master.out" 2>/dev/null && break
+        sleep 0.1
+    done
 
-"$bin/benu-worker" -master "127.0.0.1:$PORT" -threads 2 -name smoke-w1 >"$bin/w1.out" 2>&1 &
-w1_pid=$!
-"$bin/benu-worker" -master "127.0.0.1:$PORT" -threads 2 -name smoke-w2 >"$bin/w2.out" 2>&1 &
-w2_pid=$!
+    "$bin/benu-worker" -master "127.0.0.1:$PORT" -threads 2 -name smoke-w1 -metrics >"$out-w1.out" 2>&1 &
+    local w1_pid=$!
+    "$bin/benu-worker" -master "127.0.0.1:$PORT" -threads 2 -name smoke-w2 -metrics >"$out-w2.out" 2>&1 &
+    local w2_pid=$!
 
-if ! wait "$master_pid"; then
-    echo "smoke_net: master failed" >&2
-    cat "$bin/master.out" >&2
-    exit 1
-fi
-# The workers hear "done" from the master before it exits, so they must
-# be gone, cleanly, right behind it — not retrying a master that left
-# for their whole -rejoin-for window.
-for _ in $(seq 1 20); do
-    kill -0 "$w1_pid" 2>/dev/null || kill -0 "$w2_pid" 2>/dev/null || break
-    sleep 0.1
-done
-for w in 1 2; do
-    pid_var="w${w}_pid"
-    if kill -0 "${!pid_var}" 2>/dev/null; then
-        echo "smoke_net: worker $w still running 2s after the master exited" >&2
-        tail -3 "$bin/w$w.out" >&2
+    if ! wait "$master_pid"; then
+        echo "smoke_net[$tag]: master failed" >&2
+        cat "$out-master.out" >&2
         exit 1
     fi
-    if ! wait "${!pid_var}"; then
-        echo "smoke_net: worker $w exited non-zero" >&2
-        tail -3 "$bin/w$w.out" >&2
+    # The workers hear "done" from the master before it exits, so they must
+    # be gone, cleanly, right behind it — not retrying a master that left
+    # for their whole -rejoin-for window.
+    for _ in $(seq 1 20); do
+        kill -0 "$w1_pid" 2>/dev/null || kill -0 "$w2_pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    for w in 1 2; do
+        local pid_var="w${w}_pid"
+        if kill -0 "${!pid_var}" 2>/dev/null; then
+            echo "smoke_net[$tag]: worker $w still running 2s after the master exited" >&2
+            tail -3 "$out-w$w.out" >&2
+            exit 1
+        fi
+        if ! wait "${!pid_var}"; then
+            echo "smoke_net[$tag]: worker $w exited non-zero" >&2
+            tail -3 "$out-w$w.out" >&2
+            exit 1
+        fi
+    done
+
+    net=$(sed -n 's/^matches=\([0-9]*\).*/\1/p' "$out-master.out")
+    if [ "$net" != "$ref" ]; then
+        echo "smoke_net[$tag]: multi-process count $net != single-process count $ref" >&2
+        cat "$out-master.out" >&2
         exit 1
     fi
-done
+    local workers
+    workers=$(sed -n 's/.*workers=\([0-9]*\).*/\1/p' "$out-master.out")
+    if [ "$workers" != "2" ]; then
+        echo "smoke_net[$tag]: master saw $workers workers, want 2" >&2
+        cat "$out-master.out" >&2
+        exit 1
+    fi
+}
 
-net=$(sed -n 's/^matches=\([0-9]*\).*/\1/p' "$bin/master.out")
-if [ "$net" != "$ref" ]; then
-    echo "smoke_net: multi-process count $net != single-process count $ref" >&2
-    cat "$bin/master.out" >&2
+deploy plain
+
+# Once more with the batched data plane: same count, and the lease-window
+# prefetch must have replaced the single-key trip every task used to open
+# with — fewer store round trips than tasks, summed over both workers.
+deploy prefetch -prefetch
+tasks=$(sed -n 's/.* tasks=\([0-9]*\) .*/\1/p' "$bin/prefetch-master.out")
+trips=$(cat "$bin/prefetch-w1.out" "$bin/prefetch-w2.out" | awk '$1 == "cluster.db.trips" { n += $2 } END { print n + 0 }')
+if [ -z "$tasks" ] || [ "$trips" -le 0 ] || [ "$trips" -ge "$tasks" ]; then
+    echo "smoke_net[prefetch]: $trips store trips for ${tasks:-?} tasks, want 0 < trips < tasks" >&2
     exit 1
 fi
-workers=$(sed -n 's/.*workers=\([0-9]*\).*/\1/p' "$bin/master.out")
-if [ "$workers" != "2" ]; then
-    echo "smoke_net: master saw $workers workers, want 2" >&2
-    cat "$bin/master.out" >&2
-    exit 1
-fi
-echo "smoke_net: OK ($PATTERN on $PRESET: $net matches across 2 worker processes)"
+echo "smoke_net: OK ($PATTERN on $PRESET: $net matches across 2 worker processes; with -prefetch $trips store trips for $tasks tasks)"
