@@ -78,7 +78,10 @@ smoke-net:
 smoke-disk:
 	./scripts/smoke_disk.sh
 
-## fuzz: run each native fuzz target for $(FUZZTIME) (default 30s)
+## fuzz: run each native fuzz target for $(FUZZTIME) (default 30s).
+## FuzzAdjListDecode also drives the streaming bitset probe on every
+## accepted input; FuzzKVReplyFrame and FuzzCSRDecode carry seeds whose
+## lists name a neighbour past the vertex count
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGraphParse -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzAdjListDecode -fuzztime=$(FUZZTIME) ./internal/graph
@@ -119,8 +122,12 @@ tidy-check:
 ## (BenchmarkTCPTrip: 1 key, 64 keys, 64 keys from every P at once;
 ## BenchmarkTCPBatchTwoPartitions: 8 and 64 keys over two nodes in a
 ## child process, one partition after the other vs scatter-then-gather)
+## and the executor's intersection swap (BenchmarkIntersectHoisted, on the
+## q6-deploy graph: ns/elem of merge/raw vs probe/raw is what a hoisted
+## INT saves per list entry on the raw read path, merge/enc vs probe/enc
+## on the compact one; mark and unmark are inside the probe rows)
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cache ./internal/kv
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cache ./internal/kv ./internal/exec
 
 ## bench-json: machine-readable data-plane benchmark snapshot — triangle
 ## and q4 on the ok-s dataset over local and TCP backends plus the

@@ -219,7 +219,7 @@ func Decode(data []byte) (*File, error) {
 		}
 		if i > 0 {
 			l := graph.AdjListFromBytes(payload[prev:off])
-			if err := l.Validate(); err != nil {
+			if err := l.ValidateIn(f.n); err != nil {
 				return nil, fmt.Errorf("csr: slot %d: %w", i-1, err)
 			}
 		}

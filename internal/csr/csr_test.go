@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"benu/internal/gen"
@@ -202,6 +203,30 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for _, c := range cases {
 		if f, err := Decode(c.data); err == nil {
 			t.Errorf("%s: corrupt image decoded (n=%d)", c.name, f.NumVertices())
+		}
+	}
+}
+
+// TestDecodeRejectsOutOfRangeNeighbour: an image that is well-formed to
+// the last checksum bit but lists a neighbour id past the header's vertex
+// count must not open — the executor indexes per-vertex arrays with what
+// a store hands it. The error names the slot.
+func TestDecodeRejectsOutOfRangeNeighbour(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 60, EdgesPer: 3, Seed: 7})
+	for _, bad := range []int64{60, 1000} {
+		var buf bytes.Buffer
+		err := Write(&buf, g.NumVertices(), 2, 1, func(v int64) []int64 {
+			if v == 5 { // slot 2 of partition 1 of 2
+				return append(g.AdjCopy(v), bad)
+			}
+			return g.Adj(v)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Decode(buf.Bytes())
+		if err == nil || !strings.Contains(err.Error(), "slot 2") {
+			t.Errorf("neighbour %d of 60 vertices: err = %v, want a failure naming slot 2", bad, err)
 		}
 	}
 }

@@ -29,6 +29,18 @@ func FuzzCSRDecode(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// A well-formed image (checksum included) whose vertex 0 lists a
+	// neighbour id past the header's vertex count.
+	var lying bytes.Buffer
+	if err := Write(&lying, g.NumVertices(), 1, 0, func(v int64) []int64 {
+		if v == 0 {
+			return append(g.AdjCopy(0), 1000)
+		}
+		return g.Adj(v)
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lying.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := Decode(data)
 		if err != nil {
@@ -44,8 +56,12 @@ func FuzzCSRDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("List(%d) on validated file: %v", v, err)
 			}
-			if _, err := l.Decode(); err != nil {
+			adj, err := l.Decode()
+			if err != nil {
 				t.Fatalf("slot for %d failed decode after validation: %v", v, err)
+			}
+			if n := len(adj); n > 0 && adj[n-1] >= int64(file.NumVertices()) {
+				t.Fatalf("slot for %d lists neighbour %d of %d vertices", v, adj[n-1], file.NumVertices())
 			}
 		}
 	})

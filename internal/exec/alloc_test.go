@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"benu/internal/estimate"
@@ -31,6 +32,7 @@ func TestExecutorSteadyStateAllocs(t *testing.T) {
 		{"triangle", gen.Triangle()},
 		{"q4", gen.Q(4)},
 		{"square", gen.Square()},
+		{"q6", gen.Q(6)}, // two mirrored registers: the bitsets are allocated once, in the warm-up sweep
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := plan.GenerateBestPlan(tc.p, st, plan.OptimizedUncompressed)
@@ -68,5 +70,56 @@ func TestExecutorSteadyStateAllocs(t *testing.T) {
 					"per-task or per-embedding garbage crept back into the hot loop", allocs)
 			}
 		})
+	}
+}
+
+// TestDeltaCountAllocsNoBitsetWhenAnchorFails: bitsets are allocated on
+// first mark, so a DeltaEnumerator.Count — one fresh executor per
+// anchored plan, about half of which die at the anchor check — pays
+// ⌈|V|/64⌉ words only in the executors that go on to define a mirrored
+// register. On a 100 000-vertex graph that is edgeless but for one
+// triangle a bitset is 12.5 KB and everything else an executor allocates
+// is well under 2 KB, so allocating them at construction would show.
+func TestDeltaCountAllocsNoBitsetWhenAnchorFails(t *testing.T) {
+	const n = 100_000
+	const bitsetBytes = n / 8
+	g := graph.FromEdges(n, [][2]int64{{0, 1}, {1, 2}, {0, 2}})
+	ord := graph.NewTotalOrder(g)
+	d, err := NewDeltaEnumerator(gen.Clique(4), plan.OptimizedUncompressed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slots of the plans whose task survives its anchor check (it then
+	// issues DBQs), and of those whose task does not.
+	live, dead := 0, 0
+	for _, prog := range d.progs {
+		s, err := NewExecutor(prog, GraphSource{G: g}, n, ord, Options{}).Run(Task{Start: 0, Start2: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.DBQueries > 0 {
+			live += prog.numSlots
+		} else {
+			dead += prog.numSlots
+		}
+	}
+	if dead == 0 {
+		t.Fatal("every anchored clique4 plan passes its anchor check on (0,1); the test exercises nothing")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		c, err := d.Count(GraphSource{G: g}, n, ord, 0, 1, Options{})
+		if err != nil || c != 0 {
+			t.Fatalf("Count = %d, %v; a triangle holds no 4-clique", c, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCall := int((after.TotalAlloc - before.TotalAlloc) / rounds)
+	if budget := live*bitsetBytes + 2048*d.NumPlans(); perCall > budget {
+		t.Errorf("Count allocates %d bytes per call, budget %d (%d bitsets of %d bytes in surviving tasks): "+
+			"the %d slots of tasks that die at their anchor check are paid for too",
+			perCall, budget, live, bitsetBytes, dead)
 	}
 }

@@ -165,6 +165,11 @@ type Executor struct {
 	encBuf  []int
 	intsets [][]int64
 
+	// marks[s] mirrors the register whose defining instruction carries
+	// markSlot s: outside that instruction's execution, the set bits are
+	// exactly the register's ids. Each bitset is allocated on first mark.
+	marks []graph.Bitset
+
 	sink     *obsSink // pre-resolved registry handles, flushed per task
 	depth    int      // current ENU recursion level
 	maxDepth int      // deepest level reached in the current task
@@ -196,6 +201,9 @@ func NewExecutor(prog *Program, src AdjSource, numVertices int, ord *graph.Total
 	}
 	for i := range e.f {
 		e.f[i] = -1
+	}
+	if prog.numSlots > 0 {
+		e.marks = make([]graph.Bitset, prog.numSlots)
 	}
 	if opts.CompactAdjacency {
 		if ls, ok := src.(ListSource); ok {
@@ -277,6 +285,9 @@ func (e *Executor) Run(t Task) (Stats, error) {
 func (e *Executor) run(pc int) error {
 	for pc < len(e.prog.instrs) {
 		in := &e.prog.instrs[pc]
+		if in.markSlot != noSlot {
+			e.unmark(in)
+		}
 		switch in.op {
 		case plan.OpINI:
 			if in.iniIdx == 0 {
@@ -364,6 +375,9 @@ func (e *Executor) run(pc int) error {
 		case plan.OpRES:
 			e.emit()
 		}
+		if in.markSlot != noSlot {
+			e.mark(in)
+		}
 		if e.stopped {
 			return nil
 		}
@@ -399,6 +413,71 @@ func (e *Executor) prefetchENU(set []int64, split bool) error {
 	return err
 }
 
+// unmark empties a mirrored register ahead of its redefinition: the bits
+// of its current value are cleared and the register is left empty, so
+// "bitset == register" also holds if the defining instruction then fails
+// and the task is abandoned with no cleanup path.
+//
+//benulint:hotpath runs once per definition of a hoisted register
+func (e *Executor) unmark(in *cInstr) {
+	e.marks[in.markSlot].Remove(e.regs[in.dst])
+	e.regs[in.dst] = nil
+}
+
+// mark sets the bits of a mirrored register's new value. Marking at the
+// definition — not at the consuming loop's entry — costs one pass per
+// value the register takes (once per task for the start vertex's
+// adjacency set), and leaves nothing to undo on an early exit.
+//
+//benulint:hotpath runs once per definition of a hoisted register
+func (e *Executor) mark(in *cInstr) {
+	if e.marks[in.markSlot] == nil {
+		//benulint:alloc one-time lazy bitset, reused for the executor's lifetime (like vgAll)
+		e.marks[in.markSlot] = graph.NewBitset(e.numV)
+	}
+	e.marks[in.markSlot].Add(e.regs[in.dst])
+}
+
+// probe evaluates a hoisted two-operand intersection by testing each id
+// of the per-candidate list against the fixed operand's bitset mirror,
+// applying filters inline. ok is false when the per-candidate list is at
+// least graph.GallopRatio times the fixed one — there galloping the short
+// fixed list through the long one beats touching every element — and the
+// caller falls through to the merge kernels.
+//
+//benulint:hotpath the per-candidate INT/TRC of every hoisted intersection
+func (e *Executor) probe(dst []int64, in *cInstr, filters []cFilter) (out []int64, ok bool, err error) {
+	bits := e.marks[in.probeSlot]
+	r := in.ops[in.probeVar]
+	enc := e.lsrc != nil && in.encMask&(1<<uint(in.probeVar)) != 0 // parked by a lazy DBQ, never materialized
+	n := len(e.regs[r])
+	if enc {
+		n = e.encRegs[r].Len()
+	}
+	if n >= graph.GallopRatio*len(e.regs[in.ops[1-in.probeVar]]) {
+		return dst, false, nil
+	}
+	switch {
+	case !enc && len(filters) == 0:
+		return bits.AppendMembers(dst, e.regs[r]), true, nil
+	case !enc:
+		for _, v := range e.regs[r] {
+			if bits.Has(v) && e.passes(filters, v) {
+				dst = append(dst, v)
+			}
+		}
+		return dst, true, nil
+	case len(filters) == 0:
+		dst, err = e.encRegs[r].AppendMembers(dst, bits)
+		return dst, true, err
+	}
+	e.ktmpA, err = e.encRegs[r].AppendMembers(e.ktmpA[:0], bits)
+	if err != nil {
+		return dst, true, err
+	}
+	return e.appendFiltered(dst, e.ktmpA, filters), true, nil
+}
+
 // enuSource returns the candidate slice an ENU instruction iterates.
 // A V(G) source materializes the full vertex range once per executor.
 //
@@ -427,6 +506,17 @@ func (e *Executor) enuSource(in *cInstr) []int64 {
 func (e *Executor) execIntersect(in *cInstr) error {
 	e.stats.IntOps++
 	buf := e.bufs[in.buf][:0]
+	if in.probeSlot != noSlot {
+		out, ok, err := e.probe(buf, in, in.filters)
+		if err != nil {
+			return err
+		}
+		if ok {
+			e.bufs[in.buf] = out
+			e.regs[in.dst] = out
+			return nil
+		}
+	}
 
 	// Collect concrete operand sets into reused scratch, ignoring V(G)
 	// (the identity of intersection) unless it is the only operand.
@@ -718,6 +808,12 @@ func (e *Executor) rawIntersect(dst []int64, in *cInstr) []int64 {
 	case 1:
 		return append(dst, e.regs[in.ops[0]]...)
 	case 2:
+		if in.probeSlot != noSlot {
+			// TRC operands are never lazy, so the probe cannot fail.
+			if out, ok, _ := e.probe(dst, in, nil); ok {
+				return out
+			}
+		}
 		return graph.IntersectSorted(dst, e.regs[in.ops[0]], e.regs[in.ops[1]])
 	}
 	sets := e.intsets[:0]
@@ -783,7 +879,7 @@ func (e *Executor) countExpansions() int64 {
 				a, b = b, a
 			}
 			var common int64
-			if len(b) >= 16*len(a) {
+			if len(b) >= graph.GallopRatio*len(a) {
 				for _, x := range a {
 					if graph.ContainsSorted(b, x) {
 						common++

@@ -55,7 +55,25 @@ type cInstr struct {
 	// register in encoded form (bit k set = ops[k] is a lazy DBQ
 	// register). Only ever nonzero on INT instructions.
 	encMask uint32
+
+	// markSlot, when not noSlot, is the bitset slot that mirrors this
+	// instruction's dst register: the executor keeps the slot's bits equal
+	// to the register's value, clearing the old value's bits before the
+	// instruction overwrites the register and setting the new value's
+	// after. Set on the defining DBQ/INT/TRC of a hoisted operand.
+	markSlot int
+
+	// probeSlot, when not noSlot, marks a two-operand INT/TRC whose other
+	// operand is loop-invariant: ops[probeVar] is the per-candidate list
+	// and ops[1-probeVar] the fixed one, mirrored in slot probeSlot. The
+	// instruction tests each id of the per-candidate list against the
+	// mirror instead of merging the two lists.
+	probeSlot int
+	probeVar  int
 }
+
+// noSlot marks an instruction with no bitset slot.
+const noSlot = -1
 
 // resOperand describes one RES operand: either the f value of a pattern
 // vertex or (for compressed plans) the image-set register of a free one.
@@ -70,10 +88,11 @@ type resOperand struct {
 type Program struct {
 	Plan *plan.Plan
 
-	instrs  []cInstr
-	numRegs int
-	numBufs int
-	res     []resOperand
+	instrs   []cInstr
+	numRegs  int
+	numBufs  int
+	numSlots int // bitset mirrors of hoisted registers (see cInstr.markSlot)
+	res      []resOperand
 
 	// splitPC is the pc of the ENU instruction of the second vertex of
 	// the matching order — the loop that task splitting partitions
@@ -130,8 +149,7 @@ func Compile(pl *plan.Plan) (*Program, error) {
 	iniSeen := 0
 	for i := range pl.Instrs {
 		in := &pl.Instrs[i]
-		var ci cInstr
-		ci.op = in.Op
+		ci := cInstr{op: in.Op, markSlot: noSlot, probeSlot: noSlot}
 		switch in.Op {
 		case plan.OpINI:
 			ci.vertex = in.Target.Index
@@ -276,6 +294,49 @@ func Compile(pl *plan.Plan) (*Program, error) {
 			if r == in.dst {
 				prog.instrs[rpc].encMask |= 1 << uint(k)
 			}
+		}
+	}
+
+	// Hoist analysis: a two-operand INT/TRC inside an enumeration loop,
+	// one operand defined before the innermost enclosing ENU and the other
+	// inside it, re-reads a list that cannot change while the loop runs.
+	// That operand's defining instruction gets a bitset slot to mirror it
+	// (markSlot) and the consumer probes the slot with its per-candidate
+	// operand (probeSlot/probeVar) instead of merging both lists once per
+	// candidate. Instructions are a linear loop nest — every ENU encloses
+	// all that follow it — so the innermost enclosing ENU is the last one
+	// seen, and every register has one defining instruction.
+	defPC := make([]int, prog.numRegs)
+	enuPC := -1
+	for pc := range prog.instrs {
+		in := &prog.instrs[pc]
+		switch in.op {
+		case plan.OpENU:
+			enuPC = pc
+		case plan.OpDBQ:
+			defPC[in.dst] = pc
+		case plan.OpINT, plan.OpTRC:
+			defPC[in.dst] = pc
+			if enuPC < 0 || len(in.ops) != 2 || in.ops[0] == vgReg || in.ops[1] == vgReg {
+				continue
+			}
+			for k, r := range in.ops {
+				if defPC[r] > enuPC && defPC[in.ops[1-k]] < enuPC {
+					def := &prog.instrs[defPC[in.ops[1-k]]]
+					if def.lazy {
+						// Cannot happen: a lazy register has a single reader
+						// with no ENU between definition and read, a hoisted
+						// one has enuPC between them.
+						return nil, fmt.Errorf("exec: instruction %d hoists a lazy DBQ register", pc)
+					}
+					if def.markSlot == noSlot {
+						def.markSlot = prog.numSlots
+						prog.numSlots++
+					}
+					in.probeSlot, in.probeVar = def.markSlot, k
+				}
+			}
+		case plan.OpINI, plan.OpRES: // define no register, intersect nothing
 		}
 	}
 

@@ -107,7 +107,7 @@ func (l AdjList) AppendDecoded(dst []int64) ([]int64, error) {
 			var err error
 			x, k, err = varint.Uvarint(b)
 			if err != nil {
-				return dst, fmt.Errorf("graph: adjlist entry %d/%d: %w", i, n, err)
+				return dst, adjEntryErr(i, n, err)
 			}
 		}
 		b = b[k:]
@@ -127,19 +127,42 @@ func (l AdjList) Decode() ([]int64, error) { return l.AppendDecoded(nil) }
 // Validate walks the encoding and reports whether it is well-formed:
 // header present, exactly the claimed number of entries, no trailing
 // bytes, ids strictly increasing (the sorted duplicate-free invariant
-// every Store promises).
+// every Store promises). It does not bound the ids; bytes that cross a
+// trust boundary into an executor need ValidateIn.
 func (l AdjList) Validate() error {
+	_, err := l.validate()
+	return err
+}
+
+// ValidateIn is Validate plus the domain check: every id is a vertex of
+// a graph of numVertices vertices. Ids are strictly increasing, so that
+// is one comparison on the last — and it is what keeps a store's bytes
+// from indexing past the rank array in the executor's ≺ filters.
+func (l AdjList) ValidateIn(numVertices int) error {
+	last, err := l.validate()
+	if err != nil {
+		return err
+	}
+	if last >= int64(numVertices) {
+		return fmt.Errorf("graph: adjlist id %d outside [0,%d)", last, numVertices)
+	}
+	return nil
+}
+
+// validate is the walk behind Validate; it returns the last (largest)
+// id, -1 for an empty list.
+func (l AdjList) validate() (int64, error) {
 	b := l.b
 	n, k, err := varint.Uvarint(b)
 	if err != nil {
-		return fmt.Errorf("graph: adjlist header: %w", err)
+		return 0, fmt.Errorf("graph: adjlist header: %w", err)
 	}
 	b = b[k:]
 	prev := int64(-1)
 	for i := uint64(0); i < n; i++ {
 		x, k, err := varint.Uvarint(b)
 		if err != nil {
-			return fmt.Errorf("graph: adjlist entry %d/%d: %w", i, n, err)
+			return 0, adjEntryErr(i, n, err)
 		}
 		b = b[k:]
 		var v int64
@@ -148,32 +171,33 @@ func (l AdjList) Validate() error {
 		} else {
 			v = prev + int64(x)
 			if int64(x) == 0 {
-				return fmt.Errorf("graph: adjlist entry %d duplicates its predecessor", i)
+				return 0, fmt.Errorf("graph: adjlist entry %d duplicates its predecessor", i)
 			}
 		}
 		if v < 0 {
-			return fmt.Errorf("graph: adjlist entry %d is negative (%d)", i, v)
+			return 0, fmt.Errorf("graph: adjlist entry %d is negative (%d)", i, v)
 		}
 		prev = v
 	}
 	if len(b) != 0 {
-		return fmt.Errorf("graph: adjlist has %d trailing bytes", len(b))
+		return 0, fmt.Errorf("graph: adjlist has %d trailing bytes", len(b))
 	}
-	return nil
+	return prev, nil
 }
 
-// adjGallopRatio is the size skew beyond which the encoded intersection
-// gallops through the materialized side instead of merging linearly —
-// the same break-even ratio IntersectSorted (sets.go) uses for two
-// materialized sets.
-const adjGallopRatio = 16
+// GallopRatio is the size skew beyond which an intersection gallops the
+// short side through the long one instead of touching every element of
+// both — one break-even for the materialized merge (sets.go), the encoded
+// merge below, and the executor's choice between a bitset probe of the
+// long side and a gallop through it.
+const GallopRatio = 16
 
 // IntersectSorted intersects l with the ascending-sorted set other,
 // appending matches to dst — a streaming pass over the compact bytes,
 // no intermediate decode. It fails on malformed encodings.
 //
 // The pass is a linear merge, except when other is at least
-// adjGallopRatio times larger than l's claimed length: then each
+// GallopRatio times larger than l's claimed length: then each
 // decoded id gallops (exponential probe + binary search) through other
 // instead of scanning it, which matters when a short adjacency set
 // meets the hub-sized candidate sets of power-law graphs. Both sides
@@ -185,7 +209,7 @@ func (l AdjList) IntersectSorted(dst []int64, other []int64) ([]int64, error) {
 		return dst, fmt.Errorf("graph: adjlist header: %w", err)
 	}
 	b = b[k:]
-	gallop := uint64(len(other)) >= adjGallopRatio*n
+	gallop := uint64(len(other)) >= GallopRatio*n
 	j := 0
 	prev := int64(0)
 	for i := uint64(0); i < n; i++ {
@@ -194,7 +218,7 @@ func (l AdjList) IntersectSorted(dst []int64, other []int64) ([]int64, error) {
 			var err error
 			x, k, err = varint.Uvarint(b)
 			if err != nil {
-				return dst, fmt.Errorf("graph: adjlist entry %d/%d: %w", i, n, err)
+				return dst, adjEntryErr(i, n, err)
 			}
 		}
 		b = b[k:]
@@ -342,6 +366,13 @@ func adjStepSlow(b []byte, prev int64, first bool) (int64, []byte, error) {
 		return int64(x), b[k:], nil
 	}
 	return prev + int64(x), b[k:], nil
+}
+
+// adjEntryErr is the malformed-entry error of every decode loop, built
+// out of line so the boxing of its arguments stays off the annotated
+// ones.
+func adjEntryErr(i, n uint64, err error) error {
+	return fmt.Errorf("graph: adjlist entry %d/%d: %w", i, n, err)
 }
 
 // AdjCursor streams the neighbor ids of an encoded AdjList one at a

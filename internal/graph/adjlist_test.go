@@ -253,5 +253,30 @@ func FuzzAdjListDecode(f *testing.F) {
 				t.Fatalf("cursor id %d = %d, decode says %d", i, v, adj[i])
 			}
 		}
+		// The streaming probe against a bitset that mirrors every other
+		// id and ends below the largest one (half its range, at most
+		// 4096 ids) must equal decode-then-filter.
+		if len(adj) == 0 {
+			return
+		}
+		nbits := int(adj[len(adj)-1]/2) & 4095
+		bits := NewBitset(nbits)
+		var marked []int64
+		for i := 0; i < len(adj); i += 2 {
+			marked = append(marked, adj[i])
+		}
+		bits.Add(marked)
+		want := []int64{}
+		for i := 0; i < len(adj); i += 2 {
+			if uint64(adj[i]) < uint64(64*len(bits)) {
+				want = append(want, adj[i])
+			}
+		}
+		if got, err = l.AppendMembers([]int64{}, bits); err != nil {
+			t.Fatalf("streaming probe on valid encoding: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("streaming probe = %v, decode-then-filter = %v (adj %v, %d bits)", got, want, adj, nbits)
+		}
 	})
 }

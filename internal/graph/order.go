@@ -10,8 +10,10 @@ import (
 // v ≺ w iff d(v) < d(w), or d(v) == d(w) and id(v) < id(w).
 //
 // The order is materialized as a rank array so that comparing two vertices
-// is a single array lookup, which the executor performs inside the hottest
-// filter loops.
+// is two array loads and an integer compare — Less(v, w) reads rank[v] and
+// rank[w] — which the executor performs inside the hottest filter loops.
+// Both ids index the array unchecked: adjacency bytes from a wire or a
+// file are bounded to [0, Len) where they enter (AdjList.ValidateIn).
 type TotalOrder struct {
 	rank []int64
 }

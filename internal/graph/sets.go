@@ -21,7 +21,7 @@ func IntersectSorted(dst, a, b []int64) []int64 {
 		return dst
 	}
 	// Galloping pays off when one set is much larger than the other.
-	if len(b) >= 16*len(a) {
+	if len(b) >= GallopRatio*len(a) {
 		return intersectGallop(dst, a, b)
 	}
 	i, j := 0, 0

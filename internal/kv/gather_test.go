@@ -206,3 +206,48 @@ func TestGatherMalformedLegClosesThatConnectionOnly(t *testing.T) {
 	}
 	wantHonest(t, vs, lists)
 }
+
+// TestOutOfRangeNeighbourIsAMalformedReply: a node whose list for vertex 0
+// ends in an id past the store's vertex count is answered like any other
+// format violation — an error that is not a ServerError, its connection
+// closed rather than pooled — on the single-key route and in a gather.
+// The honest partition's connection stays pooled and in sync.
+func TestOutOfRangeNeighbourIsAMalformedReply(t *testing.T) {
+	var addrs []string
+	for part := 0; part < 2; part++ {
+		m := map[int64][]int64{}
+		for v := int64(part); v < 50; v += 2 {
+			m[v] = []int64{v + 1}
+		}
+		if part == 0 {
+			m[0] = []int64{1, 1000}
+		}
+		srv, err := Serve("127.0.0.1:0", NewMapStore(m, 50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, srv.Addr())
+	}
+	client, err := Dial(addrs, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(client.Close)
+
+	for _, vs := range [][]int64{{0}, {0, 1}, {3, 0, 2}} {
+		_, err := client.GetAdjBatch(vs)
+		if err == nil || isServerError(err) || !strings.Contains(err.Error(), "malformed frame") {
+			t.Fatalf("GetAdjBatch(%v) = %v, want a malformed-frame error", vs, err)
+		}
+		if n := poolIdle(client, 0); n != 0 {
+			t.Fatalf("GetAdjBatch(%v): the lying node's connection was pooled (%d idle)", vs, n)
+		}
+		honest := []int64{1, 2, 3}
+		lists, err := client.GetAdjBatch(honest)
+		if err != nil {
+			t.Fatalf("honest keys after GetAdjBatch(%v): %v", vs, err)
+		}
+		wantHonest(t, honest, lists)
+	}
+}

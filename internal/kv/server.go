@@ -151,6 +151,7 @@ type Client struct {
 // restart kills all of them at once).
 type connPool struct {
 	addr   string
+	n      int // global vertex count: the id domain a reply's lists must stay inside
 	mu     sync.Mutex
 	idle   []*wireConn
 	closed bool // Client.Close ran: connections still out are closed on put
@@ -163,6 +164,7 @@ type wireConn struct {
 	conn net.Conn
 	br   *bufio.Reader
 	buf  []byte // the request frame, then the reply frame; reused across round trips
+	n    int    // the pool's vertex count, handed to decodeReply
 }
 
 // roundTrip asks the node for keys (at most maxBatchKeys), installs list
@@ -196,7 +198,7 @@ func (w *wireConn) receive(idxs []int, out []graph.AdjList) (int64, error) {
 	if w.buf, err = readFrame(w.br, w.buf, maxReplyFrame); err != nil {
 		return 0, err
 	}
-	n, err := decodeReply(w.buf, idxs, out)
+	n, err := decodeReply(w.buf, idxs, out, w.n)
 	w.buf = retained(w.buf)
 	return n, err
 }
@@ -222,7 +224,7 @@ func (p *connPool) dial() (*wireConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kv: dial %s: %w", p.addr, err)
 	}
-	return &wireConn{conn: conn, br: bufio.NewReader(conn)}, nil
+	return &wireConn{conn: conn, br: bufio.NewReader(conn), n: p.n}, nil
 }
 
 // put parks c for the next caller — unless the client was closed while c
@@ -256,7 +258,7 @@ func Dial(addrs []string, numVertices int) (*Client, error) {
 	}
 	c := &Client{addrs: addrs, n: numVertices}
 	for _, a := range addrs {
-		c.pools = append(c.pools, &connPool{addr: a})
+		c.pools = append(c.pools, &connPool{addr: a, n: numVertices})
 	}
 	return c, nil
 }

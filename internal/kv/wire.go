@@ -202,11 +202,13 @@ func appendErrorReply(buf []byte, msg string) []byte {
 // decodeReply parses a reply frame body that must answer len(idxs) keys,
 // installing list j at out[idxs[j]], and returns the payload bytes
 // received (the comm_mb currency: AdjList sizes, no framing). Each list
-// is validated in place and then copied into its own allocation — a list
-// that outlives the call in a cache must not pin the whole frame, and
-// the frame buffer is reused by the next round trip. On error out may be
-// partially written; GetAdjBatch discards it.
-func decodeReply(frame []byte, idxs []int, out []graph.AdjList) (int64, error) {
+// is validated in place — shape, order, and every id below numVertices,
+// so a lying node cannot make an executor index past its rank array —
+// and then copied into its own allocation: a list that outlives the call
+// in a cache must not pin the whole frame, and the frame buffer is reused
+// by the next round trip. On error out may be partially written;
+// GetAdjBatch discards it.
+func decodeReply(frame []byte, idxs []int, out []graph.AdjList, numVertices int) (int64, error) {
 	if len(frame) == 0 {
 		return 0, badFrame("empty reply")
 	}
@@ -234,7 +236,7 @@ func decodeReply(frame []byte, idxs []int, out []graph.AdjList) (int64, error) {
 		}
 		payload := frame[k : k+int(size)]
 		frame = frame[k+int(size):]
-		if err := graph.AdjListFromBytes(payload).Validate(); err != nil {
+		if err := graph.AdjListFromBytes(payload).ValidateIn(numVertices); err != nil {
 			return 0, badFrame("list %d: %v", j, err)
 		}
 		out[i] = graph.AdjListFromBytes(append([]byte(nil), payload...))

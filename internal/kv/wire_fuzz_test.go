@@ -59,8 +59,10 @@ func FuzzKVRequestFrame(f *testing.F) {
 }
 
 // FuzzKVReplyFrame: bytes → the client's reply decoder, per-list
-// Validate included, for a request of nkeys keys.
+// ValidateIn included, for a request of nkeys keys against a store of
+// fuzzReplyVertices vertices.
 func FuzzKVReplyFrame(f *testing.F) {
+	const fuzzReplyVertices = 1 << 20
 	reply := func(adjs ...[]int64) []byte {
 		lists := make([]graph.AdjList, len(adjs))
 		for i, adj := range adjs {
@@ -71,6 +73,8 @@ func FuzzKVReplyFrame(f *testing.F) {
 	f.Add(reply([]int64{1, 2, 3}), uint8(1))
 	f.Add(reply([]int64{}, []int64{7}, []int64{0, 5, 1 << 33}), uint8(3))
 	f.Add(reply([]int64{1}), uint8(2)) // count mismatch
+	f.Add(reply([]int64{1, 2, fuzzReplyVertices - 1}), uint8(1))
+	f.Add(reply([]int64{1, 2, fuzzReplyVertices}), uint8(1)) // last id outside the store's vertex range
 	f.Add(appendErrorReply(nil, "kv: vertex 5 not stored in this partition"), uint8(1))
 	f.Add(appendReply(nil, []graph.AdjList{graph.AdjListFromBytes([]byte{3, 1, 0x80})}), uint8(1)) // corrupt payload
 	f.Add(appendReply(nil, []graph.AdjList{graph.AdjListFromBytes([]byte{2, 5, 0})}), uint8(1))    // duplicate neighbour
@@ -90,13 +94,13 @@ func FuzzKVReplyFrame(f *testing.F) {
 			idxs[i] = int(nkeys) - 1 - i
 		}
 		out := make([]graph.AdjList, nkeys)
-		n, err := decodeReply(frame, idxs, out)
+		n, err := decodeReply(frame, idxs, out, fuzzReplyVertices)
 		if err != nil {
 			return
 		}
 		var total int64
 		for i, l := range out {
-			if err := l.Validate(); err != nil {
+			if err := l.ValidateIn(fuzzReplyVertices); err != nil {
 				t.Fatalf("accepted list %d does not validate: %v", i, err)
 			}
 			if _, err := l.Decode(); err != nil {

@@ -452,7 +452,7 @@ func TestReplyAboveCapBecomesErrorFrame(t *testing.T) {
 	if len(frame) > 1024 {
 		t.Fatalf("over-cap reply encoded as a %d-byte frame", len(frame))
 	}
-	_, err := decodeReply(frame[frameHeaderLen:], make([]int, len(lists)), make([]graph.AdjList, 1))
+	_, err := decodeReply(frame[frameHeaderLen:], make([]int, len(lists)), make([]graph.AdjList, 1), 1)
 	if !isServerError(err) || !strings.Contains(err.Error(), "frame cap") {
 		t.Fatalf("err = %v, want a ServerError naming the frame cap", err)
 	}
