@@ -125,7 +125,11 @@ tidy-check:
 ## and the executor's intersection swap (BenchmarkIntersectHoisted, on the
 ## q6-deploy graph: ns/elem of merge/raw vs probe/raw is what a hoisted
 ## INT saves per list entry on the raw read path, merge/enc vs probe/enc
-## on the compact one; mark and unmark are inside the probe rows)
+## on the compact one; mark and unmark are inside the probe rows) and the
+## task window's two shapes (BenchmarkWindowFrontier: one 64-task triangle
+## window of the tri-lib graph over two nodes in a child process, start
+## batch + per-task ENU batches vs start batch + one frontier batch, with
+## trips/window beside ns/op)
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cache ./internal/kv ./internal/exec
 

@@ -22,6 +22,14 @@
 // serves only the remaining tasks. Pair it with -store-listen so the
 // restarted process serves the adjacency partitions on the same
 // addresses the surviving workers already dialed.
+//
+// Workers run the batched data plane by default (-prefetch, on): each
+// lease batch's start vertices, then the union of its tasks' first-level
+// candidates, are fetched in a few batched store trips instead of one or
+// more per task. Turn it off (-prefetch=false) to reproduce the paper's
+// one-query-per-miss cache behaviour (Fig. 8), or for a compute-bound job
+// on a graph that fits the workers' caches, where there is no trip to
+// save and the all-resident checks cost 2-3 % (docs/PERFORMANCE.md).
 package main
 
 import (
@@ -45,35 +53,34 @@ import (
 )
 
 func main() {
-	var (
-		patternName  = flag.String("pattern", "triangle", "pattern: triangle, square, chordal-square, q1..q9, cliqueK, pathK, cycleK, starK, demo")
-		graphPath    = flag.String("graph", "", "data graph edge-list file (overrides -preset)")
-		presetName   = flag.String("preset", "as", "synthetic dataset preset: as, lj, ok, uk, fs")
-		listen       = flag.String("listen", "127.0.0.1:7077", "address to serve the task queue on")
-		journalPath  = flag.String("journal", "", "crash-recovery journal path; reusing a dead master's journal resumes its run")
-		partitions   = flag.Int("store-partitions", 2, "adjacency storage nodes served from this process")
-		storeListen  = flag.String("store-listen", "", "base host:port for the storage nodes (partition i served on port+i); empty picks ephemeral ports")
-		tau          = flag.Int("tau", 500, "task splitting degree threshold (0 = off)")
-		uncompressed = flag.Bool("uncompressed", false, "disable VCBC compression")
-		degreeFilter = flag.Bool("degree-filter", false, "add degree filtering conditions (§IV-A extension)")
-		retry        = flag.Int("retry", 2, "task re-executions per failure or expired lease (0 = off)")
-		lease        = flag.Duration("lease", 3*time.Second, "heartbeat silence tolerated before a worker's leases expire")
-		prefetch     = flag.Bool("prefetch", false, "workers batch-prefetch adjacency: each lease batch's start vertices, and ENU candidates before enumerating")
-		metrics      = flag.Bool("metrics", false, "print the run's metrics snapshot (see docs/METRICS.md)")
-		verbose      = flag.Bool("v", false, "print the execution plan")
-	)
-	flag.Parse()
-
-	if err := run(runConfig{
-		pattern: *patternName, graphPath: *graphPath, preset: *presetName,
-		listen: *listen, journal: *journalPath,
-		partitions: *partitions, storeListen: *storeListen, tau: *tau,
-		uncompressed: *uncompressed, degreeFilter: *degreeFilter,
-		retry: *retry, lease: *lease, prefetch: *prefetch, metrics: *metrics, verbose: *verbose,
-	}); err != nil {
+	if err := run(parseFlags(os.Args[1:])); err != nil {
 		fmt.Fprintln(os.Stderr, "benu-master:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags reads the command line into a runConfig; like flag.Parse it
+// exits on a malformed one.
+func parseFlags(args []string) runConfig {
+	var rc runConfig
+	fs := flag.NewFlagSet("benu-master", flag.ExitOnError)
+	fs.StringVar(&rc.pattern, "pattern", "triangle", "pattern: triangle, square, chordal-square, q1..q9, cliqueK, pathK, cycleK, starK, demo")
+	fs.StringVar(&rc.graphPath, "graph", "", "data graph edge-list file (overrides -preset)")
+	fs.StringVar(&rc.preset, "preset", "as", "synthetic dataset preset: as, lj, ok, uk, fs")
+	fs.StringVar(&rc.listen, "listen", "127.0.0.1:7077", "address to serve the task queue on")
+	fs.StringVar(&rc.journal, "journal", "", "crash-recovery journal path; reusing a dead master's journal resumes its run")
+	fs.IntVar(&rc.partitions, "store-partitions", 2, "adjacency storage nodes served from this process")
+	fs.StringVar(&rc.storeListen, "store-listen", "", "base host:port for the storage nodes (partition i served on port+i); empty picks ephemeral ports")
+	fs.IntVar(&rc.tau, "tau", 500, "task splitting degree threshold (0 = off)")
+	fs.BoolVar(&rc.uncompressed, "uncompressed", false, "disable VCBC compression")
+	fs.BoolVar(&rc.degreeFilter, "degree-filter", false, "add degree filtering conditions (§IV-A extension)")
+	fs.IntVar(&rc.retry, "retry", 2, "task re-executions per failure or expired lease (0 = off)")
+	fs.DurationVar(&rc.lease, "lease", 3*time.Second, "heartbeat silence tolerated before a worker's leases expire")
+	fs.BoolVar(&rc.prefetch, "prefetch", true, "workers batch-prefetch adjacency: each lease batch's start vertices and first-level candidates, and ENU candidates before enumerating; -prefetch=false is the paper's one-query-per-miss data plane (Fig. 8-style runs, or a compute-bound job on a graph that fits the workers' caches)")
+	fs.BoolVar(&rc.metrics, "metrics", false, "print the run's metrics snapshot (see docs/METRICS.md)")
+	fs.BoolVar(&rc.verbose, "v", false, "print the execution plan")
+	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
+	return rc
 }
 
 // runConfig carries the parsed command-line options.

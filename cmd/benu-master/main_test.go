@@ -11,12 +11,26 @@ import (
 	"benu/internal/cluster/sched"
 	"benu/internal/gen"
 	"benu/internal/graph"
+	"benu/internal/obs"
 )
+
+// TestPrefetchFlag: the batched data plane is the deployed default and
+// -prefetch=false turns it off.
+func TestPrefetchFlag(t *testing.T) {
+	if !parseFlags(nil).prefetch {
+		t.Error("benu-master without -prefetch runs the data plane unbatched; the default is on")
+	}
+	if parseFlags([]string{"-prefetch=false"}).prefetch {
+		t.Error("-prefetch=false left prefetch on")
+	}
+}
 
 // TestMasterEndToEnd runs the binary's own start path — graph from an
 // edge-list file, plan generation, kv storage nodes, task queue — and
 // joins two workers that dial everything over loopback TCP, exactly as
-// benu-worker would.
+// benu-worker would; once as the flags default and once with
+// -prefetch=false. Same count both ways; the default makes under half as
+// many store trips as tasks, the unbatched plane more trips than tasks.
 func TestMasterEndToEnd(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 200, EdgesPer: 3, Triad: 0.4, Seed: 11})
 	path := filepath.Join(t.TempDir(), "edges.txt")
@@ -32,42 +46,45 @@ func TestMasterEndToEnd(t *testing.T) {
 	}
 	want := graph.RefCount(gen.Q(4), g, graph.NewTotalOrder(g))
 
-	d, err := start(runConfig{
-		pattern:    "q4",
-		graphPath:  path,
-		listen:     "127.0.0.1:0",
-		partitions: 2,
-		tau:        500,
-		retry:      2,
-		lease:      3 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.close()
-
-	var workers []*sched.Worker
-	for i := 0; i < 2; i++ {
-		w, err := sched.StartWorker(d.master.Addr(), sched.WorkerConfig{Threads: 2})
+	for _, args := range [][]string{nil, {"-prefetch=false"}} {
+		rc := parseFlags(append([]string{"-pattern", "q4", "-graph", path, "-listen", "127.0.0.1:0"}, args...))
+		d, err := start(rc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers = append(workers, w)
-	}
-	res, err := d.master.Wait(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workers {
-		if err := w.Wait(); err != nil {
-			t.Errorf("worker %d exit: %v", w.ID(), err)
+		wreg := obs.NewRegistry() // the workers' machines, summed
+		var workers []*sched.Worker
+		for i := 0; i < 2; i++ {
+			// 32 MiB is benu-worker's -cache-mb default.
+			w, err := sched.StartWorker(d.master.Addr(), sched.WorkerConfig{Threads: 2, CacheBytes: 32 << 20, Obs: wreg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers = append(workers, w)
 		}
-	}
-	if res.Matches != want {
-		t.Errorf("matches = %d, want %d", res.Matches, want)
-	}
-	if res.Stats.DBQueries == 0 {
-		t.Error("no DB queries recorded: workers did not dial the storage nodes")
+		res, err := d.master.Wait(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range workers {
+			if err := w.Wait(); err != nil {
+				t.Errorf("%v: worker %d exit: %v", args, w.ID(), err)
+			}
+		}
+		d.close()
+		if res.Matches != want {
+			t.Errorf("%v: matches = %d, want %d", args, res.Matches, want)
+		}
+		if res.Stats.DBQueries == 0 {
+			t.Errorf("%v: no DB queries recorded: workers did not dial the storage nodes", args)
+		}
+		trips, tasks := wreg.Counter("cluster.db.trips").Value(), int64(res.Tasks)
+		if rc.prefetch && (trips == 0 || 2*trips >= tasks) {
+			t.Errorf("default: %d store trips for %d tasks, want 0 < trips < tasks/2", trips, tasks)
+		}
+		if !rc.prefetch && trips <= tasks {
+			t.Errorf("-prefetch=false: %d store trips for %d tasks, want one per start vertex and more", trips, tasks)
+		}
 	}
 }
 

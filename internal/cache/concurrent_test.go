@@ -187,7 +187,7 @@ func TestKeysOutsideDomain(t *testing.T) {
 // back, so live pages never outnumber live entries.
 func TestSparseKeysDropEmptyPages(t *testing.T) {
 	const room = 4
-	c := NewLRU(room * (8 + entryOverhead))
+	c := NewLRU(room * (8 + EntryOverhead))
 	for i := int64(0); i < 500; i++ {
 		c.Put(i<<pageBits, []int64{i})
 	}

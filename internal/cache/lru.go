@@ -50,10 +50,10 @@ import (
 	"benu/internal/graph"
 )
 
-// entryOverhead approximates the per-entry bookkeeping cost in bytes
+// EntryOverhead approximates the per-entry bookkeeping cost in bytes
 // (index slot, ring links, header), charged against capacity in addition
 // to the 8 bytes per adjacency entry.
-const entryOverhead = 64
+const EntryOverhead = 64
 
 // Index geometry: key = root index | middle index | page slot.
 const (
@@ -301,7 +301,7 @@ func (c *LRU) Peek(v int64) (adj []int64, list graph.AdjList, ok bool) {
 // are not cached at all. Re-inserting an existing key moves it to the
 // young end of the ring.
 func (c *LRU) Put(v int64, adj []int64) {
-	c.install(v, adj, graph.AdjList{}, int64(len(adj))*8+entryOverhead)
+	c.install(v, adj, graph.AdjList{}, int64(len(adj))*8+EntryOverhead)
 }
 
 // PutList inserts the compact adjacency list of v under the same policy
@@ -309,7 +309,7 @@ func (c *LRU) Put(v int64, adj []int64) {
 // compact data plane: the cache holds the wire bytes, so the same budget
 // caches several times more vertices.
 func (c *LRU) PutList(v int64, l graph.AdjList) {
-	c.install(v, nil, l, l.SizeBytes()+entryOverhead)
+	c.install(v, nil, l, l.SizeBytes()+EntryOverhead)
 }
 
 // install publishes an entry for key, charged size bytes, replacing any

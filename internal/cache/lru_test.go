@@ -30,7 +30,7 @@ func TestLRUBasicHitMiss(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	// Room for exactly two single-entry sets.
-	c := NewLRU(2 * (8 + entryOverhead))
+	c := NewLRU(2 * (8 + EntryOverhead))
 	c.Put(1, []int64{1})
 	c.Put(2, []int64{2})
 	c.Get(1) // 1 is now more recent than 2
@@ -50,7 +50,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestLRUCapacityNeverExceeded(t *testing.T) {
-	cap := int64(10 * (8*4 + entryOverhead))
+	cap := int64(10 * (8*4 + EntryOverhead))
 	c := NewLRU(cap)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
@@ -102,7 +102,7 @@ func TestLRUUpdateExistingKey(t *testing.T) {
 
 func TestLRUHitsPlusMissesEqualsGets(t *testing.T) {
 	check := func(keys []uint8) bool {
-		c := NewLRU(5 * (8 + entryOverhead))
+		c := NewLRU(5 * (8 + EntryOverhead))
 		gets := 0
 		for _, k := range keys {
 			key := int64(k % 16)
@@ -191,7 +191,7 @@ func TestLRUPrefetchCoverage(t *testing.T) {
 // next one sets it, and an entry nobody marked behaves as it always did.
 func TestPrefetchedReadEarnsNoSecondChance(t *testing.T) {
 	one := []int64{7}
-	size := int64(len(one))*8 + entryOverhead
+	size := int64(len(one))*8 + EntryOverhead
 	c := NewLRU(2 * size)
 	c.Put(1, one)
 	c.Put(2, one)
@@ -305,7 +305,7 @@ func TestHitAllocatesNothing(t *testing.T) {
 // resident entry referenced the sweep clears their bits and comes back
 // for the oldest; it never reaches the entry being installed.
 func TestNewEntrySurvivesItsInsertion(t *testing.T) {
-	c := NewLRU(2 * (8 + entryOverhead))
+	c := NewLRU(2 * (8 + EntryOverhead))
 	c.Put(1, []int64{1})
 	c.Put(2, []int64{2})
 	c.Get(1)

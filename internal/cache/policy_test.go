@@ -52,7 +52,7 @@ func TestClockTracksLRU(t *testing.T) {
 	adjLen := func(k int64) int { return 1 + int(k%16) }
 	var total int64
 	for k := int64(0); k < keys; k++ {
-		total += int64(adjLen(k))*8 + entryOverhead
+		total += int64(adjLen(k))*8 + EntryOverhead
 	}
 	// Rank r of the Zipf law reads key perm[r], so popularity is not
 	// correlated with set size or index locality.
@@ -77,7 +77,7 @@ func TestClockTracksLRU(t *testing.T) {
 			if ref.get(k) {
 				refHits++
 			} else {
-				ref.put(k, int64(adjLen(k))*8+entryOverhead)
+				ref.put(k, int64(adjLen(k))*8+EntryOverhead)
 			}
 		}
 		got := clock.Stats().HitRate()

@@ -48,7 +48,9 @@ type Config struct {
 	TriangleCacheEntries int
 	// Prefetch turns on the batched adjacency prefetcher, at both places a
 	// machine knows keys ahead of demand: the start vertices of each
-	// window of PrefetchBatchSize tasks of its queue are fetched when the
+	// window of PrefetchBatchSize tasks of its queue — and, for plans whose
+	// first enumeration level follows from the start list alone, the
+	// union of those tasks' first-level candidates — are fetched when the
 	// window's first task is popped, and before an enumeration loop whose
 	// candidates will be DB-queried the whole candidate set is handed to
 	// the machine's source — batched store round trips either way.
@@ -341,10 +343,12 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 			// bounds the failure window. Retried pops do not touch the
 			// dispatch accounting — the task was already counted when it
 			// was first popped. The thread that pops the first task of a
-			// window fetches the whole window's start vertices before it
-			// runs its own; a sibling whose task is in the same window
-			// joins that batch through the source's single-flight table.
-			pop := func() (taskAttempt, bool) {
+			// window fetches the whole window — start vertices, then the
+			// first-level frontier its idle executor e computes from them —
+			// before it runs its own; a sibling whose task is in the same
+			// window joins those batches through the source's
+			// single-flight table.
+			pop := func(e *exec.Executor) (taskAttempt, bool) {
 				if runCtx.Err() != nil {
 					cancelled.Store(true)
 					return taskAttempt{}, false
@@ -373,7 +377,7 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 				queueDepth.Add(-1)
 				if window > 0 && i%window == 0 {
 					ahead := queue[i:min(i+window, len(queue))]
-					src.PrefetchStarts(len(ahead), func(j int) int64 { return ahead[j].Start })
+					src.PrefetchWindow(e, len(ahead), func(j int) exec.Task { return ahead[j] })
 				}
 				return taskAttempt{t: queue[i]}, true
 			}
@@ -419,7 +423,7 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 					var committed exec.Stats
 					e := exec.NewExecutor(prog, src, n, ord, eopts)
 					for {
-						ta, ok := pop()
+						ta, ok := pop(e)
 						if !ok {
 							break
 						}

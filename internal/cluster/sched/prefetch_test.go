@@ -12,16 +12,18 @@ import (
 	"benu/internal/plan"
 )
 
-// Tests for the lease-window start-vertex prefetch: with
-// MasterConfig.Prefetch set, a worker's dispatcher fetches the start
-// vertices of each lease reply's tasks in one batch per partition before
-// its threads see them.
+// Tests for the lease-window prefetch: with MasterConfig.Prefetch set, a
+// worker's dispatcher fetches the start vertices of each lease reply's
+// tasks in one batch per partition, and then the union of their
+// first-level candidates, before its threads see them.
 
 // TestPrefetchOverTCPStores runs the deployed shape — workers dialing the
 // storage nodes the master names, caches that hold the graph — with the
-// batched data plane on. Without the lease window every task opens with
-// its own single-key trip, so trips exceed tasks; with it they are about
-// half of them here.
+// batched data plane on. Without it every task opens with its own
+// single-key trip, so trips exceed tasks; the start window alone left
+// about half as many trips as tasks (the per-task ENU batches); with the
+// frontier they are about an eighth here — a lease batch is a short
+// window, 2×Threads tasks until the worker has measured a round trip.
 func TestPrefetchOverTCPStores(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 1500, EdgesPer: 3, Triad: 0.1, Seed: 7})
 	p := gen.Triangle()
@@ -64,8 +66,8 @@ func TestPrefetchOverTCPStores(t *testing.T) {
 	if res.Matches != want {
 		t.Errorf("matches = %d, want %d", res.Matches, want)
 	}
-	if trips := wreg.Counter("cluster.db.trips").Value(); trips == 0 || trips >= int64(res.Tasks) {
-		t.Errorf("cluster.db.trips = %d for %d tasks, want fewer trips than tasks (and some)", trips, res.Tasks)
+	if trips := wreg.Counter("cluster.db.trips").Value(); trips == 0 || trips >= int64(res.Tasks)/4 {
+		t.Errorf("cluster.db.trips = %d for %d tasks, want under a quarter as many trips as tasks (and some)", trips, res.Tasks)
 	}
 	if n := wreg.Counter("source.prefetch.errors").Value(); n != 0 {
 		t.Errorf("source.prefetch.errors = %d on healthy stores", n)
@@ -95,15 +97,18 @@ func (s *firstCallGate) GetAdjBatch(vs []int64) ([]graph.AdjList, error) {
 	return s.Store.GetAdjBatch(vs)
 }
 
-// TestPrefetchStolenTaskCostsOneList: a task stolen from a worker's
-// backlog after its lease window was prefetched has cost that worker the
-// one start list in the window batch and nothing more — the victim drops
-// it unexecuted, and with the list cached nothing is fetched twice.
-func TestPrefetchStolenTaskCostsOneList(t *testing.T) {
+// TestPrefetchStolenTaskCostsItsWindowShare: a task stolen from a
+// worker's backlog after its lease window was prefetched has cost that
+// worker its start list in the window batch plus its first-level
+// candidates in the frontier batch behind it, and that is all — the
+// victim drops it unexecuted, the frontier holds nothing but the window's
+// candidates, and with the lists cached nothing is fetched twice.
+func TestPrefetchStolenTaskCostsItsWindowShare(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 120, EdgesPer: 3, Triad: 0.4, Seed: 3})
 	p := gen.Triangle()
 	pl := bestPlan(t, p, g, plan.OptimizedUncompressed)
-	want := graph.RefCount(p, g, graph.NewTotalOrder(g))
+	ord := graph.NewTotalOrder(g)
+	want := graph.RefCount(p, g, ord)
 
 	reg := obs.NewRegistry()
 	cfg := masterFor(t, pl, g, reg)
@@ -178,6 +183,34 @@ func TestPrefetchStolenTaskCostsOneList(t *testing.T) {
 	for _, v := range stolen {
 		if !window[v] {
 			t.Errorf("stolen task's start %d was not in the victim's lease window %v: the test stole nothing that was prefetched", v, gate.calls[0])
+		}
+	}
+	// The victim's one thread saw no task before the window returned, so
+	// the call behind the window batch is the window's frontier: the
+	// triangle plan's first level is the start's ≻-neighbours.
+	level := map[int64]bool{}
+	for v := range window {
+		for _, w := range g.Adj(v) {
+			if ord.Less(v, w) && !window[w] {
+				level[w] = true
+			}
+		}
+	}
+	if len(gate.calls) < 2 || len(level) == 0 {
+		t.Fatalf("the victim made %d store calls and its window has %d uncached first-level candidates: the test sees no frontier", len(gate.calls), len(level))
+	}
+	frontier := map[int64]bool{}
+	for _, v := range gate.calls[1] {
+		frontier[v] = true
+		if !level[v] {
+			t.Errorf("the frontier batch %v fetched %d, no first-level candidate of the window %v", gate.calls[1], v, gate.calls[0])
+		}
+	}
+	for _, v := range stolen {
+		for _, w := range g.Adj(v) {
+			if ord.Less(v, w) && !window[w] && !frontier[w] {
+				t.Errorf("stolen task %d: its candidate %d is not in the frontier batch %v", v, w, gate.calls[1])
+			}
 		}
 	}
 	fetched := map[int64]int{}

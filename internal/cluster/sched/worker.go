@@ -98,7 +98,6 @@ type Worker struct {
 	dropStaleC  *obs.Counter
 
 	src       *exec.CachedSource
-	prefetch  bool       // JoinReply.Prefetch: fetch each lease batch's start vertices ahead of the threads
 	dialed    *kv.Client // non-nil when we own the store connection
 	heartbeat time.Duration
 	threads   int
@@ -227,7 +226,6 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		rejoinsC:   reg.Counter("sched.worker.rejoins"),
 		dropStaleC: reg.Counter("sched.worker.dropped_stale"),
 		src:        src,
-		prefetch:   join.Prefetch,
 		dialed:     dialed,
 		heartbeat:  join.HeartbeatEvery,
 		threads:    cfg.Threads,
@@ -568,7 +566,16 @@ func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, j
 		w.heartbeatLoop()
 	}()
 
-	w.dispatchLoop(taskCh)
+	// With prefetch on the dispatcher has an executor of its own. It runs
+	// no task: between Lease calls it computes each lease window's
+	// first-level frontier.
+	var frontier *exec.Executor
+	if join.Prefetch {
+		opts := w.execOptions(pl, join)
+		opts.TriangleCacheEntries = 0
+		frontier = exec.NewExecutor(prog, w.src, join.NumVertices, ord, opts)
+	}
+	w.dispatchLoop(taskCh, frontier)
 	close(taskCh)
 	tg.Wait()
 	// Every attempt that will ever finish is in the outbox: let the
@@ -631,11 +638,12 @@ func smooth(mean, sample int64) int64 {
 }
 
 // dispatchLoop keeps the local queue filled to the lease depth and, with
-// prefetch on, fetches each lease batch's start vertices before the
-// threads see its tasks. It returns on shutdown, drain (graceful: queued
-// tasks still execute and report), fencing without a retry policy, or
-// the run completing.
-func (w *Worker) dispatchLoop(taskCh chan<- leasedTask) {
+// prefetch on (frontier non-nil), fetches each lease batch's window —
+// start vertices, then the first-level frontier that executor computes
+// from them — before the threads see its tasks. It returns on shutdown,
+// drain (graceful: queued tasks still execute and report), fencing
+// without a retry policy, or the run completing.
+func (w *Worker) dispatchLoop(taskCh chan<- leasedTask, frontier *exec.Executor) {
 	empty := uint(0) // consecutive Lease replies without tasks
 	for {
 		if w.stopped() || w.draining() {
@@ -693,12 +701,13 @@ func (w *Worker) dispatchLoop(taskCh chan<- leasedTask) {
 			w.queue = append(w.queue, t.ID)
 		}
 		w.mu.Unlock()
-		if w.prefetch {
+		if frontier != nil {
 			// The lease batch is this machine's task window: one store
-			// batch per partition for its start vertices, before the
-			// threads see the tasks. A task stolen or revoked afterwards
-			// has cost its one list.
-			w.src.PrefetchStarts(len(reply.Tasks), func(i int) int64 { return reply.Tasks[i].Task.Start })
+			// batch per partition for its start vertices and as few for
+			// its first-level frontier, before the threads see the tasks.
+			// A task stolen or revoked afterwards has cost its start list
+			// and its admitted share of the frontier.
+			w.src.PrefetchWindow(frontier, len(reply.Tasks), func(i int) exec.Task { return reply.Tasks[i].Task })
 		}
 		for _, t := range reply.Tasks {
 			taskCh <- leasedTask{WireTask: t, gen: gen} // never blocks: len(queue) ≤ depth ≤ cap(taskCh)
@@ -728,17 +737,32 @@ func (w *Worker) dispatchLoop(taskCh chan<- leasedTask) {
 	}
 }
 
-// threadLoop is one executor thread: run each task, buffer its
-// emissions, hand the finished attempt to the outbox, start the next.
-func (w *Worker) threadLoop(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, join JoinReply, taskCh <-chan leasedTask) {
-	var matches [][]int64
-	var codes []*vcbc.Code
+// execOptions is what every executor of this worker shares: the job's
+// data-plane switches and the degree and label oracles of the Join reply.
+func (w *Worker) execOptions(pl *plan.Plan, join JoinReply) exec.Options {
 	eopts := exec.Options{
 		TriangleCacheEntries: join.TriangleCacheEntries,
 		Obs:                  w.reg,
 		Prefetch:             join.Prefetch,
 		CompactAdjacency:     join.CompactAdjacency,
 	}
+	if pl.DegreeFiltered && len(join.Degrees) > 0 {
+		degrees := join.Degrees
+		eopts.DegreeOf = func(v int64) int { return int(degrees[v]) }
+	}
+	if pl.Pattern.Labeled() {
+		labels := join.Labels
+		eopts.LabelOf = func(v int64) int64 { return labels[v] }
+	}
+	return eopts
+}
+
+// threadLoop is one executor thread: run each task, buffer its
+// emissions, hand the finished attempt to the outbox, start the next.
+func (w *Worker) threadLoop(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, join JoinReply, taskCh <-chan leasedTask) {
+	var matches [][]int64
+	var codes []*vcbc.Code
+	eopts := w.execOptions(pl, join)
 	if join.WantMatches && !pl.Compressed {
 		eopts.Emit = func(f []int64) bool {
 			matches = append(matches, append([]int64(nil), f...))
@@ -750,14 +774,6 @@ func (w *Worker) threadLoop(prog *exec.Program, pl *plan.Plan, ord *graph.TotalO
 			codes = append(codes, c.Clone())
 			return true
 		}
-	}
-	if pl.DegreeFiltered && len(join.Degrees) > 0 {
-		degrees := join.Degrees
-		eopts.DegreeOf = func(v int64) int { return int(degrees[v]) }
-	}
-	if pl.Pattern.Labeled() {
-		labels := join.Labels
-		eopts.LabelOf = func(v int64) int64 { return labels[v] }
 	}
 	e := exec.NewExecutor(prog, w.src, join.NumVertices, ord, eopts)
 

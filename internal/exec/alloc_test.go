@@ -73,6 +73,45 @@ func TestExecutorSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWindowFrontierSteadyStateAllocs: the window's second phase — the
+// off-the-books read of every start list (decoded, on the compact path),
+// the level's filters, the uncached-key filter, sort and de-duplication —
+// runs in pooled scratch. With the cache warm there is nothing to fetch,
+// so a window allocates nothing at all.
+func TestWindowFrontierSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; AllocsPerRun counts are not meaningful")
+	}
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 600, EdgesPer: 4, Triad: 0.3, Seed: 3})
+	ord := graph.NewTotalOrder(g)
+	for _, compact := range []bool{false, true} {
+		res, err := plan.GenerateBestPlan(gen.Triangle(), estimate.NewStats(g, estimate.MaxMomentDefault), plan.OptimizedUncompressed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Compile(res.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: compact})
+		e := NewExecutor(prog, src, g.NumVertices(), ord, Options{Prefetch: true, CompactAdjacency: compact})
+		base := 0
+		task := func(i int) Task { return Task{Start: int64(base + i)} }
+		sweep := func() {
+			for base = 0; base+defaultBatchSize <= g.NumVertices(); base += defaultBatchSize {
+				src.PrefetchWindow(e, defaultBatchSize, task)
+			}
+		}
+		sweep() // warm: every window's starts and frontier are resident afterwards
+		if windows := int64(g.NumVertices() / defaultBatchSize); src.RemoteTrips() <= windows {
+			t.Fatalf("compact=%v: %d store trips for %d windows: the frontier phase did not run", compact, src.RemoteTrips(), windows)
+		}
+		if allocs := testing.AllocsPerRun(5, sweep); allocs > 2 {
+			t.Errorf("compact=%v: a sweep of warm windows allocates %.1f times (budget 2 for pool refills)", compact, allocs)
+		}
+	}
+}
+
 // TestDeltaCountAllocsNoBitsetWhenAnchorFails: bitsets are allocated on
 // first mark, so a DeltaEnumerator.Count — one fresh executor per
 // anchored plan, about half of which die at the anchor check — pays

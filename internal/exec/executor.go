@@ -413,6 +413,36 @@ func (e *Executor) prefetchENU(set []int64, split bool) error {
 	return err
 }
 
+// AppendFrontier appends to dst the candidates task t's first ENU will
+// iterate, computed from adj = A(t.Start) without running the task: the
+// level's filters (Program.frontierPC) through passes, then — as in
+// prefetchENU — only the stride a split subtask visits. The program must
+// qualify (frontierPC ≥ 0) and the executor must be between tasks. A task
+// Run would turn away (start label mismatch, no label oracle) has no
+// candidates.
+//
+//benulint:hotpath once per task of every prefetched window; appends into the caller's pooled scratch
+func (e *Executor) AppendFrontier(dst []int64, t Task, adj []int64) []int64 {
+	if e.prog.needsLabels && (e.opts.LabelOf == nil || e.opts.LabelOf(t.Start) != e.prog.startLabel) {
+		return dst
+	}
+	filters := e.prog.instrs[e.prog.frontierPC].filters
+	cnt := max(t.SplitCount, 1)
+	f1 := e.prog.Plan.Order[0]
+	e.f[f1] = t.Start
+	i := 0 // index in the filtered set, the one the ENU strides over
+	for _, v := range adj {
+		if e.passes(filters, v) {
+			if i%cnt == t.SplitIndex {
+				dst = append(dst, v)
+			}
+			i++
+		}
+	}
+	e.f[f1] = -1
+	return dst
+}
+
 // unmark empties a mirrored register ahead of its redefinition: the bits
 // of its current value are cleared and the register is left empty, so
 // "bitset == register" also holds if the defining instruction then fails

@@ -99,6 +99,16 @@ type Program struct {
 	// (§V-B) — or -1 when the plan has no ENU at all.
 	splitPC int
 
+	// frontierPC, when ≥ 0, marks a program whose first enumeration level
+	// is a function of the start vertex's adjacency list alone: the ENU at
+	// splitPC is prefetch-marked and iterates A(f₁) itself (frontierPC is
+	// then splitPC, which carries no filters) or a single-operand INT over
+	// it whose filters reference only f₁ (frontierPC is that INT). A task
+	// window can then compute the level of every task from lists the
+	// window's start batch left in the cache (Executor.AppendFrontier) and
+	// fetch the union once. -1 otherwise.
+	frontierPC int
+
 	// n is the pattern vertex count.
 	n int
 
@@ -120,6 +130,21 @@ type Program struct {
 	constraints [][2]int
 }
 
+// filtersReadOnly reports whether every condition of filters that reads a
+// bound vertex reads f.
+func filtersReadOnly(filters []cFilter, f int) bool {
+	for _, c := range filters {
+		switch c.kind {
+		case plan.FilterGT, plan.FilterLT, plan.FilterNE:
+			if c.vertex != f {
+				return false
+			}
+		case plan.FilterMinDeg, plan.FilterLabel: // read the candidate only
+		}
+	}
+	return true
+}
+
 // SupportsSplitting reports whether task splitting can apply: the plan
 // must enumerate at least a second vertex (a VCBC cover of size 1 — a
 // star pattern — leaves nothing to split).
@@ -131,7 +156,7 @@ func Compile(pl *plan.Plan) (*Program, error) {
 	if err := pl.Validate(); err != nil {
 		return nil, err
 	}
-	prog := &Program{Plan: pl, splitPC: -1, n: pl.Pattern.NumVertices()}
+	prog := &Program{Plan: pl, splitPC: -1, frontierPC: -1, n: pl.Pattern.NumVertices()}
 	regOf := make(map[plan.VarRef]int)
 	setReg := func(v plan.VarRef) int {
 		if v.Kind == plan.VarVG {
@@ -337,6 +362,22 @@ func Compile(pl *plan.Plan) (*Program, error) {
 				}
 			}
 		case plan.OpINI, plan.OpRES: // define no register, intersect nothing
+		}
+	}
+
+	// Frontier analysis: the first ENU's candidates are known from A(f₁)
+	// alone when the loop iterates that list or one single-operand INT's
+	// filtering of it, and worth fetching ahead when the loop DB-queries
+	// them (the prefetch mark). An anchored plan binds two vertices per
+	// task and has no window of start lists to read.
+	if pc := prog.splitPC; pc >= 0 && !pl.Anchored && prog.instrs[pc].prefetch && prog.instrs[pc].ops[0] != vgReg {
+		f1 := pl.Order[0]
+		at, def := pc, defPC[prog.instrs[pc].ops[0]] // the filters' instruction, the list's definition
+		if in := &prog.instrs[def]; in.op == plan.OpINT && len(in.ops) == 1 && in.ops[0] != vgReg && filtersReadOnly(in.filters, f1) {
+			at, def = def, defPC[in.ops[0]]
+		}
+		if in := &prog.instrs[def]; in.op == plan.OpDBQ && in.vertex == f1 {
+			prog.frontierPC = at
 		}
 	}
 

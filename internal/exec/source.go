@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,8 +29,9 @@ import (
 //     raw int64 slices — served to the executor through GetList.
 //   - Prefetch: keys known ahead of demand arrive in whole sets — an
 //     ENU loop's candidates from the executor, a task window's start
-//     vertices from the runtime (PrefetchStarts) — and the uncached ones
-//     are fetched in batched round trips. With PrefetchWorkers == 0 the
+//     vertices and, from them, its tasks' first-level candidates from the
+//     runtime (PrefetchWindow) — and the uncached ones are fetched in
+//     batched round trips. With PrefetchWorkers == 0 the
 //     batch runs inline and errors return to the caller (fully
 //     deterministic); with workers the batch runs in the background.
 //     Either way a failed batch is counted (source.prefetch.errors); a
@@ -322,28 +324,104 @@ func (s *CachedSource) account(keys int, bytes int64) {
 // vertices over.
 func (s *CachedSource) BatchSize() int { return s.opts.BatchSize }
 
-// PrefetchStarts is the task-window prefetch both runtimes share: the
-// start vertices of the next n tasks a machine will run (start(i) is
-// task i's; equal neighbours — the subtasks of one split vertex — count
-// once) go to Prefetch as one set, so a window costs one batch per
-// partition where every task used to open with a single-key miss. The
-// fetch is speculative: its error is dropped here — Prefetch has counted
-// it — and never fails a pop, a task attempt or a retry budget. Without a
-// cache there is nowhere to install a window, and none is fetched.
-func (s *CachedSource) PrefetchStarts(n int, start func(i int) int64) {
+// frontierBudgetDiv bounds a window's first-level frontier: its keys,
+// each charged what the cache will charge it — the entry overhead plus
+// this source's mean bytes per fetched list — may claim at most
+// capacity/frontierBudgetDiv; tasks past the cut keep their per-task ENU
+// batch. The bound only bites where a window is a large share of the
+// cache, and there it must: a frontier that large sweeps out its own
+// window before the tasks read it. Triangle, one thread over two TCP
+// nodes, cache a quarter of the graph; bytes fetched relative to prefetch
+// off, store trips in brackets (docs/PERFORMANCE.md, "Trips that scale
+// with windows", has the table's provenance):
+//
+//	N       start window only  unbounded        1/8             1/16
+//	2 000   +1.21 % [1 621]    +12.01 % [604]   +2.43 % [1 094] +1.63 % [1 346]
+//	4 000   +0.45 % [3 256]    +4.91 % [676]    +2.57 % [1 357] +1.33 % [2 146]
+//	14 000  +0.57 % [11 489]   +2.28 % [1 229]  same            +2.26 % [1 325]
+//	40 000  +0.12 % [33 073]   +0.59 % [2 445]  same            same
+//
+// 1/8 breaks TestWindowPrefetchOverTCP's 2 % byte bound at N 4 000; 1/16
+// holds it and still cuts a third of the trips there.
+const frontierBudgetDiv = 16
+
+// PrefetchWindow is the task-window prefetch both runtimes share, over
+// the next n tasks a machine will run (task(i) is the i-th). Two batched
+// phases replace what were per-task trips:
+//
+// The start vertices go to Prefetch as one set (equal neighbours — the
+// subtasks of one split vertex — count once), so a window costs one batch
+// per partition where every task used to open with a single-key miss.
+//
+// Then, when e's program has a start-list-determined first level
+// (Program.frontierPC) and prefetch is synchronous, the window's tasks
+// are walked in order: each resident start list is read off the books
+// (cache.Peek: no hit counted, no prefetched mark consumed, no reference
+// bit — the demand read still to come is the one the CLOCK rule and the
+// coverage metric see), e computes the task's first-level candidates from
+// it, and the uncached ones join the frontier until frontierBudgetDiv
+// says stop. The frontier, sorted and de-duplicated, goes to Prefetch
+// too. A covered task's own ENU batch then finds everything resident and
+// makes no trip; a task past the cut, or whose start list is not
+// resident, fetches its batch as it always did.
+//
+// Both fetches are speculative: their errors are dropped here — Prefetch
+// has counted them — and never fail a pop, a task attempt or a retry
+// budget. e is idle between tasks (the popping thread's executor, or the
+// dispatcher's own); nil skips the second phase. Without a cache there is
+// nowhere to install a window, and none is fetched.
+func (s *CachedSource) PrefetchWindow(e *Executor, n int, task func(i int) Task) {
 	if s.capacity <= 0 {
 		return
 	}
 	p := graph.BorrowInts()
 	vs := (*p)[:0]
 	for i := 0; i < n; i++ {
-		if v := start(i); len(vs) == 0 || vs[len(vs)-1] != v {
+		if v := task(i).Start; len(vs) == 0 || vs[len(vs)-1] != v {
 			vs = append(vs, v)
 		}
 	}
 	_ = s.Prefetch(vs) // the demand path re-fetches and surfaces it
+	if e != nil && e.prog.frontierPC >= 0 && s.queue == nil {
+		vs = s.appendFrontier(vs[:0], e, n, task)
+		slices.Sort(vs)
+		_ = s.Prefetch(slices.Compact(vs))
+	}
 	*p = vs
 	graph.ReturnInts(p)
+}
+
+// appendFrontier appends to dst the uncached first-level candidates of
+// the window's tasks, in task order, until the frontier budget is spent.
+//
+//benulint:hotpath the frontier walk: once per window, one pass per task over its start list, pooled scratch only
+func (s *CachedSource) appendFrontier(dst []int64, e *Executor, n int, task func(i int) Task) []int64 {
+	perKey := int64(cache.EntryOverhead)
+	if q := s.remoteQueries.Load(); q > 0 {
+		perKey += s.remoteBytes.Load() / q
+	}
+	maxKeys := int(s.capacity / frontierBudgetDiv / perKey)
+	p := graph.BorrowInts()
+	buf := (*p)[:0]
+	for i := 0; i < n && len(dst) < maxKeys; i++ {
+		t := task(i)
+		adj, list, ok := s.cache.Peek(t.Start)
+		if !ok {
+			continue
+		}
+		if !list.IsZero() {
+			// Installed by PutList, so validated: the decode cannot fail.
+			buf, _ = list.AppendDecoded(buf[:0])
+			adj = buf
+		}
+		// Candidates land behind dst and are filtered in place.
+		mark := len(dst)
+		dst = e.AppendFrontier(dst, t, adj)
+		dst = s.cache.AppendMissing(dst[:mark], dst[mark:])
+	}
+	*p = buf
+	graph.ReturnInts(p)
+	return dst
 }
 
 // Prefetch implements Prefetcher: batch-fetch the uncached keys of vs

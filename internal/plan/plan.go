@@ -126,6 +126,15 @@ func (p *Plan) Validate() error {
 	var enuSeq []int
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
+		// Checked before anything renders the instruction: String and
+		// exec.Compile both index Operands[0] of a DBQ or ENU, and a
+		// decoded plan may carry none.
+		if (in.Op == OpDBQ || in.Op == OpENU) && len(in.Operands) != 1 {
+			return fmt.Errorf("plan: instruction %d (%s) has %d operands, want 1", i, in.Op, len(in.Operands))
+		}
+		if in.Op == OpDBQ && in.Operands[0].Kind != VarF {
+			return fmt.Errorf("plan: instruction %d queries the adjacency of %s, not of an f variable", i, in.Operands[0])
+		}
 		for _, o := range in.Operands {
 			if err := checkUse(i, o); err != nil {
 				return err

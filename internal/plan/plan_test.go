@@ -302,6 +302,23 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := bad3.Validate(); err == nil {
 		t.Error("order mismatch validated")
 	}
+
+	// A DBQ or ENU without its one operand, and a DBQ of a set variable:
+	// exec.Compile indexes Operands[0] and reads it as a pattern vertex.
+	for _, op := range []OpType{OpDBQ, OpENU} {
+		bad4 := pl.clone()
+		at := indexOf(bad4, func(in *Instruction) bool { return in.Op == op })
+		bad4.Instrs[at].Operands = nil
+		if err := bad4.Validate(); err == nil {
+			t.Errorf("%s without an operand validated", op)
+		}
+	}
+	bad5 := pl.clone()
+	dbq := indexOf(bad5, func(in *Instruction) bool { return in.Op == OpDBQ })
+	bad5.Instrs[dbq].Operands = []VarRef{bad5.Instrs[dbq].Target}
+	if err := bad5.Validate(); err == nil {
+		t.Error("DBQ of a set variable validated")
+	}
 }
 
 func TestGenerateBestPlanDemo(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"benu/internal/varint"
 )
@@ -39,6 +40,9 @@ type Writer struct {
 // lists of the compressed plan, plus the symmetry-breaking constraints
 // among free vertices (needed to count/expand the codes downstream).
 func NewWriter(w io.Writer, cover, free []int, constraints [][2]int) (*Writer, error) {
+	if err := checkConstraints(free, constraints); err != nil {
+		return nil, err
+	}
 	sw := &Writer{
 		w:     bufio.NewWriter(w),
 		cover: append([]int(nil), cover...),
@@ -173,7 +177,24 @@ func NewReader(r io.Reader) (*Reader, error) {
 		}
 		seen[u] = true
 	}
+	if err := checkConstraints(sr.free, sr.constraints); err != nil {
+		return nil, err
+	}
 	return sr, nil
+}
+
+// checkConstraints rejects an order constraint that is not between two
+// distinct free vertices. Count and Expand disagree on such a header —
+// CountInjective's one-free-vertex shortcut never looks at constraints,
+// Expand enforces u ≺ u and yields nothing — so it is corrupt, like a
+// duplicated vertex.
+func checkConstraints(free []int, constraints [][2]int) error {
+	for _, c := range constraints {
+		if c[0] == c[1] || !slices.Contains(free, c[0]) || !slices.Contains(free, c[1]) {
+			return fmt.Errorf("vcbc: order constraint u%d ≺ u%d is not between two distinct free vertices", c[0], c[1])
+		}
+	}
+	return nil
 }
 
 // Constraints returns the free-vertex order constraints from the header.

@@ -1,6 +1,7 @@
 package vcbc
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"math/rand"
@@ -103,6 +104,49 @@ func TestStreamRejectsShapeMismatch(t *testing.T) {
 	bad := &Code{Helve: []int64{1}, Images: [][]int64{{2}}}
 	if err := w.Write(bad); err == nil {
 		t.Error("shape mismatch accepted")
+	}
+}
+
+// TestStreamRejectsBadConstraints: an order constraint must relate two
+// distinct free vertices. Count and Expand disagree on anything else (the
+// fuzz crasher was a self-constraint on a lone free vertex: Count 4,
+// Expand 0), so the Writer refuses to write such a header and the Reader
+// to read one.
+func TestStreamRejectsBadConstraints(t *testing.T) {
+	// header is a stream header as NewWriter lays it out, without its checks.
+	header := func(cover, free []int, constraints [][2]int) []byte {
+		var buf bytes.Buffer
+		sw := &Writer{w: bufio.NewWriter(&buf)}
+		flat := []int{}
+		for _, c := range constraints {
+			flat = append(flat, c[0], c[1])
+		}
+		_ = sw.uvarint(streamMagic)
+		_ = sw.uvarint(streamVersion)
+		_ = sw.intList(cover)
+		_ = sw.intList(free)
+		_ = sw.intList(flat)
+		_ = sw.Flush()
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name        string
+		cover, free []int
+		constraints [][2]int
+		ok          bool
+	}{
+		{"none", []int{0, 2}, []int{1, 3}, nil, true},
+		{"two free vertices", []int{0, 2}, []int{1, 3}, [][2]int{{1, 3}}, true},
+		{"self", nil, []int{5}, [][2]int{{5, 5}}, false},
+		{"self among several", []int{0}, []int{1, 3}, [][2]int{{1, 3}, {3, 3}}, false},
+		{"cover vertex", []int{0, 2}, []int{1, 3}, [][2]int{{0, 3}}, false},
+		{"unknown vertex", []int{0, 2}, []int{1, 3}, [][2]int{{1, 7}}, false},
+	} {
+		_, werr := NewWriter(io.Discard, tc.cover, tc.free, tc.constraints)
+		_, rerr := NewReader(bytes.NewReader(header(tc.cover, tc.free, tc.constraints)))
+		if (werr == nil) != tc.ok || (rerr == nil) != tc.ok {
+			t.Errorf("%s: NewWriter err = %v, NewReader err = %v; want accepted = %v", tc.name, werr, rerr, tc.ok)
+		}
 	}
 }
 

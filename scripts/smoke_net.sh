@@ -3,10 +3,11 @@
 # benu-master and two benu-worker processes over loopback TCP on a small
 # dataset, check the master's reported match count against the
 # single-process benu run of the same pattern × preset, and require both
-# workers to exit 0 within 2 s of the master; then the same job again with
-# benu-master -prefetch, which must also cut the workers' store trips
-# below the task count. Bounded to seconds — this is the CI gate that the
-# shipped binaries actually deploy.
+# workers to exit 0 within 2 s of the master. The first pass runs the
+# default — the batched data plane, which must hold the workers' store
+# trips under half the task count — and the second runs -prefetch=false,
+# which must count the same and make more trips. Bounded to seconds — this
+# is the CI gate that the shipped binaries actually deploy.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -91,16 +92,29 @@ deploy() {
     fi
 }
 
-deploy plain
+# trips <tag>: store round trips summed over both workers of a pass.
+trips() {
+    cat "$bin/$1-w1.out" "$bin/$1-w2.out" | awk '$1 == "cluster.db.trips" { n += $2 } END { print n + 0 }'
+}
 
-# Once more with the batched data plane: same count, and the lease-window
-# prefetch must have replaced the single-key trip every task used to open
-# with — fewer store round trips than tasks, summed over both workers.
-deploy prefetch -prefetch
-tasks=$(sed -n 's/.* tasks=\([0-9]*\) .*/\1/p' "$bin/prefetch-master.out")
-trips=$(cat "$bin/prefetch-w1.out" "$bin/prefetch-w2.out" | awk '$1 == "cluster.db.trips" { n += $2 } END { print n + 0 }')
-if [ -z "$tasks" ] || [ "$trips" -le 0 ] || [ "$trips" -ge "$tasks" ]; then
-    echo "smoke_net[prefetch]: $trips store trips for ${tasks:-?} tasks, want 0 < trips < tasks" >&2
+# The default: the lease-window prefetch replaces the single-key trip
+# every task used to open with and the frontier the per-task batch behind
+# it — fewer than half as many store round trips as tasks, summed over
+# both workers.
+deploy default
+tasks=$(sed -n 's/.* tasks=\([0-9]*\) .*/\1/p' "$bin/default-master.out")
+on=$(trips default)
+if [ -z "$tasks" ] || [ "$on" -le 0 ] || [ $((2 * on)) -ge "$tasks" ]; then
+    echo "smoke_net[default]: $on store trips for ${tasks:-?} tasks, want 0 < trips < tasks/2" >&2
     exit 1
 fi
-echo "smoke_net: OK ($PATTERN on $PRESET: $net matches across 2 worker processes; with -prefetch $trips store trips for $tasks tasks)"
+
+# Once more with the paper's one-query-per-miss data plane: same count
+# (deploy checks it), more trips.
+deploy plain -prefetch=false
+off=$(trips plain)
+if [ "$off" -le "$on" ]; then
+    echo "smoke_net[plain]: $off store trips with -prefetch=false, $on with the default: want more" >&2
+    exit 1
+fi
+echo "smoke_net: OK ($PATTERN on $PRESET: $net matches across 2 worker processes; $on store trips for $tasks tasks, $off with -prefetch=false)"
