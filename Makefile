@@ -7,6 +7,10 @@
 GO ?= go
 FUZZTIME ?= 30s
 
+# The fault-injection suite, by test-name prefix: `chaos` runs it over
+# the packages that own it, `race-chaos` over the whole module.
+CHAOS_TESTS := TestChaos|TestNetChaos|TestResilient|TestTaskRetry|TestRunContext|TestLeaseExpiry|TestSteal|TestJournal|TestEpoch|TestDuplicate|TestWorkerShutdown|TestFlakyConn
+
 .PHONY: all build test short race race-chaos vet lint lint-sarif bench bench-json bench-gate check diff chaos chaos-net smoke-net smoke-disk fuzz tidy-check clean
 
 all: check
@@ -38,7 +42,7 @@ race:
 ## packages that own those tests; this lane runs ./... so a chaos test
 ## added anywhere else is still raced (its own CI job)
 race-chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestNetChaos|TestResilient|TestTaskRetry|TestFailFast|TestRunContext|TestLeaseExpiry|TestSteal|TestJournal|TestEpoch|TestDuplicate|TestWorkerShutdown|TestFlakyConn' ./...
+	$(GO) test -race -count=1 -run '$(CHAOS_TESTS)' ./...
 
 ## diff: the differential matrix in its quick configuration — every
 ## preset pattern × random data graphs × plan variants × backends,
@@ -54,7 +58,7 @@ diff:
 ## kill-the-master-mid-run with journal recovery), epoch fencing,
 ## duplicate-delivery dedup, and the RPC fault injector
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestNetChaos|TestResilient|TestTaskRetry|TestFailFast|TestRunContext|TestLeaseExpiry|TestSteal|TestJournal|TestEpoch|TestDuplicate|TestWorkerShutdown|TestFlakyConn' ./internal/check ./internal/cluster ./internal/cluster/sched ./internal/kv
+	$(GO) test -race -count=1 -run '$(CHAOS_TESTS)' ./internal/check ./internal/cluster ./internal/cluster/sched ./internal/kv
 
 ## chaos-net: cross-process crash recovery — SIGKILL a journaled
 ## benu-master mid-run and restart it on the same ports/journal

@@ -128,18 +128,6 @@ type Options struct {
 	// finished run. When Metrics is nil a private registry is created for
 	// the run, so the snapshot covers exactly this enumeration.
 	Observer func(*MetricsSnapshot)
-	// Prefetch turns on the batched adjacency prefetcher — each task
-	// window's start vertices and each ENU loop's candidates travel as
-	// batches ahead of demand (synchronous unless
-	// Cluster.PrefetchWorkers says otherwise).
-	// Ignored when Cluster is set — configure ClusterConfig.Prefetch
-	// directly there.
-	Prefetch bool
-	// CompactAdjacency moves the per-machine data plane to the compact
-	// varint-delta adjacency encoding (smaller cache entries and, on
-	// networked stores, less wire volume). Ignored when Cluster is set —
-	// configure ClusterConfig.CompactAdjacency directly there.
-	CompactAdjacency bool
 	// Ctx bounds the run: cancellation stops task dispatch on every
 	// simulated machine, interrupts store traffic, and makes the run
 	// return the context's error. nil means context.Background().
@@ -163,9 +151,6 @@ func (o *Options) resolve(g *Graph) (PlanOptions, ClusterConfig) {
 		}
 		if o.Cluster != nil {
 			cfg = *o.Cluster
-		} else {
-			cfg.Prefetch = o.Prefetch
-			cfg.CompactAdjacency = o.CompactAdjacency
 		}
 	}
 	if g.Labeled() && cfg.LabelOf == nil {

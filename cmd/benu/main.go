@@ -10,6 +10,12 @@
 //	benu -pattern q4 -preset ok -metrics
 //	benu -pattern square -preset as -output results.vcbc
 //	benu -pattern q4 -preset as -csr as.csr   # adjacency from benu-store CSR files
+//	benu -pattern triangle -preset as -prefetch -compact -retry 0
+//
+// -prefetch and -compact pick each machine's data plane: batched fetches
+// ahead of demand, and varint-delta lists in cache and on the wire.
+// -retry sets the store-call retries and task re-executions; -retry 0
+// fails the run on the first fault.
 //
 // -output streams the results to a file: a VCBC-compressed stream for
 // compressed plans (count or expand it with benu-decode), plain
@@ -51,7 +57,6 @@ func main() {
 		degreeFilter = flag.Bool("degree-filter", false, "add degree filtering conditions (§IV-A extension)")
 		cliqueCache  = flag.Bool("clique-cache", false, "generalize the triangle cache to pattern cliques (§IV-B extension)")
 		prefetch     = flag.Bool("prefetch", false, "batch-prefetch adjacency: each task window's start vertices, and ENU candidates before enumerating")
-		pfWorkers    = flag.Int("prefetch-workers", 0, "async prefetch goroutines per machine (0 = synchronous inline)")
 		compact      = flag.Bool("compact", false, "use the compact varint-delta adjacency encoding in cache and fetches")
 		csrPath      = flag.String("csr", "", "serve adjacency from mmap'd CSR file(s) built by benu-store: a single file, or the prefix of <path>.<part> shards")
 		output       = flag.String("output", "", "write results to this file (VCBC stream for compressed plans, text otherwise; decode with benu-decode)")
@@ -59,7 +64,6 @@ func main() {
 		metricsJSON  = flag.String("metrics-json", "", "write the run's metrics snapshot as JSON to this file")
 		retry        = flag.Int("retry", 2, "fault tolerance: store-call retries and task re-executions per failure (0 = off)")
 		deadline     = flag.Duration("deadline", 0, "per-store-call deadline, e.g. 500ms (0 = none)")
-		failFast     = flag.Bool("failfast", false, "fail on the first fault instead of retrying (overrides -retry)")
 		verbose      = flag.Bool("v", false, "print the execution plan and per-worker stats")
 	)
 	flag.Parse()
@@ -70,9 +74,9 @@ func main() {
 		uncompressed: *uncompressed, degreeFilter: *degreeFilter,
 		cliqueCache: *cliqueCache, output: *output, verbose: *verbose,
 		metrics: *metrics, metricsJSON: *metricsJSON,
-		prefetch: *prefetch, prefetchWorkers: *pfWorkers, compact: *compact,
+		prefetch: *prefetch, compact: *compact,
 		csr:   *csrPath,
-		retry: *retry, deadline: *deadline, failFast: *failFast,
+		retry: *retry, deadline: *deadline,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "benu:", err)
 		os.Exit(1)
@@ -91,12 +95,10 @@ type runConfig struct {
 	metrics                    bool
 	metricsJSON                string
 	prefetch                   bool
-	prefetchWorkers            int
 	compact                    bool
 	csr                        string
 	retry                      int
 	deadline                   time.Duration
-	failFast                   bool
 }
 
 func run(rc runConfig) error {
@@ -148,7 +150,6 @@ func run(rc runConfig) error {
 	cfg.CacheBytes = int64(rc.cacheRel * float64(g.SizeBytes()))
 	cfg.Tau = rc.tau
 	cfg.Prefetch = rc.prefetch
-	cfg.PrefetchWorkers = rc.prefetchWorkers
 	cfg.CompactAdjacency = rc.compact
 
 	// A private registry isolates the snapshot to exactly this run.
@@ -174,10 +175,9 @@ func run(rc runConfig) error {
 
 	// Fault tolerance: the resilient decorator wraps outermost (so latency
 	// observation below it times each raw attempt), and the cluster gets a
-	// matching task re-execution budget. -failfast strips both layers.
-	if rc.failFast {
-		cfg.FailFast = true
-	} else if rc.retry > 0 || rc.deadline > 0 {
+	// matching task re-execution budget. -retry 0 without -deadline adds
+	// neither: the first fault fails the run.
+	if rc.retry > 0 || rc.deadline > 0 {
 		pol := resilience.DefaultPolicy()
 		if rc.retry > 0 {
 			pol.MaxAttempts = rc.retry + 1
@@ -260,9 +260,9 @@ func run(rc runConfig) error {
 	fmt.Printf("communication: %d DB queries, %.2f MB fetched, cache hit rate %.1f%%\n",
 		res.DBQueries, float64(res.BytesFetched)/(1<<20), res.CacheHitRate*100)
 	if rc.prefetch || rc.compact {
-		fmt.Printf("data plane: %d store trips (%.1f keys/trip), prefetch=%v workers=%d compact=%v\n",
+		fmt.Printf("data plane: %d store trips (%.1f keys/trip), prefetch=%v compact=%v\n",
 			res.StoreTrips, float64(res.DBQueries)/float64(max64(res.StoreTrips, 1)),
-			rc.prefetch, rc.prefetchWorkers, rc.compact)
+			rc.prefetch, rc.compact)
 	}
 	if rc.verbose {
 		for _, w := range res.PerWorker {

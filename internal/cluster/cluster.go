@@ -53,15 +53,13 @@ type Config struct {
 	// union of those tasks' first-level candidates — are fetched when the
 	// window's first task is popped, and before an enumeration loop whose
 	// candidates will be DB-queried the whole candidate set is handed to
-	// the machine's source — batched store round trips either way.
+	// the machine's source — batched store round trips either way. It
+	// fills exec.SourceOptions.Prefetch of each machine's source.
 	Prefetch bool
-	// PrefetchWorkers is the number of background prefetch goroutines per
-	// machine. 0 (with Prefetch on) fetches synchronously inline — fully
-	// deterministic, errors surface on the querying thread.
-	PrefetchWorkers int
 	// CompactAdjacency moves each machine's data plane to the compact
 	// varint-delta encoding: batched fetches travel and cache as encoded
-	// bytes, and executors decode into per-instruction scratch.
+	// bytes, and executors decode into per-instruction scratch. It fills
+	// exec.SourceOptions.Compact of each machine's source.
 	CompactAdjacency bool
 	// PrefetchBatchSize caps keys per batched round trip, and is the
 	// length of the start-vertex prefetch window (0 = default 64).
@@ -79,10 +77,6 @@ type Config struct {
 	// retried task can never double-count. 0 disables re-execution
 	// (the first task failure fails the run).
 	TaskRetries int
-	// FailFast disables task re-execution even when TaskRetries is set:
-	// the first task failure fails the run immediately. The escape hatch
-	// for debugging — a fault surfaces instead of being healed.
-	FailFast bool
 	// SequentialWorkers runs the simulated machines one after another
 	// instead of concurrently. Use when measuring per-worker busy time
 	// on a host with fewer cores than simulated machines: each machine's
@@ -281,6 +275,14 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 		res.TaskTimes = make([]time.Duration, 0, len(tasks))
 	}
 
+	// Executors get the degree oracle only when the plan filters by
+	// degree; otherwise nothing in the run holds it, nor whatever it
+	// closes over (graph.Graph.Degree pins the caller's whole graph).
+	var degreeOf func(v int64) int
+	if pl.DegreeFiltered {
+		degreeOf = degree
+	}
+
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.Default()
@@ -294,9 +296,8 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 
-	// Task re-execution is on when a retry budget is configured and the
-	// FailFast escape hatch is off.
-	retrying := cfg.TaskRetries > 0 && !cfg.FailFast
+	// Task re-execution is on when a retry budget is configured.
+	retrying := cfg.TaskRetries > 0
 
 	var (
 		mu           sync.Mutex // guards res.TaskTimes
@@ -322,19 +323,14 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 			// its retry loops mid-backoff.
 			mstore := kv.WithContext(store, runCtx)
 			src := exec.NewCachedSourceWith(mstore, cfg.CacheBytes, exec.SourceOptions{
-				Compact:         cfg.CompactAdjacency,
-				PrefetchWorkers: cfg.PrefetchWorkers,
-				BatchSize:       cfg.PrefetchBatchSize,
-				Obs:             reg,
-				Ctx:             runCtx,
+				Compact:   cfg.CompactAdjacency,
+				Prefetch:  cfg.Prefetch,
+				BatchSize: cfg.PrefetchBatchSize,
+				Obs:       reg,
+				Ctx:       runCtx,
 			})
 			queue := queues[w]
-			// window is the start-vertex prefetch window in tasks; 0 when
-			// prefetch is off.
-			window := 0
-			if cfg.Prefetch {
-				window = src.BatchSize()
-			}
+			window := src.BatchSize() // the task window, in tasks
 			var next int
 			var qmu sync.Mutex
 			var retryQ []taskAttempt
@@ -345,9 +341,9 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 			// was first popped. The thread that pops the first task of a
 			// window fetches the whole window — start vertices, then the
 			// first-level frontier its idle executor e computes from them —
-			// before it runs its own; a sibling whose task is in the same
-			// window joins those batches through the source's
-			// single-flight table.
+			// before it runs its own, when the source prefetches; a sibling
+			// whose task is in the same window joins those batches through
+			// the source's single-flight table.
 			pop := func(e *exec.Executor) (taskAttempt, bool) {
 				if runCtx.Err() != nil {
 					cancelled.Store(true)
@@ -375,7 +371,7 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 				}
 				dispatched.Add(1)
 				queueDepth.Add(-1)
-				if window > 0 && i%window == 0 {
+				if i%window == 0 {
 					ahead := queue[i:min(i+window, len(queue))]
 					src.PrefetchWindow(e, len(ahead), func(j int) exec.Task { return ahead[j] })
 				}
@@ -402,12 +398,8 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 						EmitCode:             cfg.EmitCode,
 						TriangleCacheEntries: cfg.TriangleCacheEntries,
 						Obs:                  reg,
-						Prefetch:             cfg.Prefetch,
-						CompactAdjacency:     cfg.CompactAdjacency,
 					}
-					if pl.DegreeFiltered {
-						eopts.DegreeOf = degree
-					}
+					eopts.DegreeOf = degreeOf
 					eopts.LabelOf = cfg.LabelOf
 					// Under re-execution, emissions buffer per task and
 					// reach the user's callbacks only when the attempt
@@ -469,9 +461,6 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 				}()
 			}
 			tw.Wait()
-			// Drain the async prefetch workers before reading the source's
-			// counters, so the per-machine stats are settled.
-			src.Close()
 			ws := &perWorker[w]
 			ws.Machine = w
 			for th := range threadStats {

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"benu/internal/estimate"
 	"benu/internal/gen"
@@ -312,5 +315,52 @@ func TestRunConfigValidation(t *testing.T) {
 	pl := bestPlan(t, gen.Triangle(), g, plan.OptimizedUncompressed)
 	if _, err := Run(pl, kv.NewLocal(g), ord, g.Degree, Config{}); err == nil {
 		t.Error("zero config accepted")
+	}
+}
+
+// degreePin is what a degree oracle closes over; its finalizer reports
+// that the oracle became unreachable.
+type degreePin struct{ g *graph.Graph }
+
+// pinnedDegree returns g's degree oracle, closing over a degreePin whose
+// finalizer closes released.
+func pinnedDegree(g *graph.Graph, released chan struct{}) func(v int64) int {
+	pin := &degreePin{g: g}
+	runtime.SetFinalizer(pin, func(*degreePin) { close(released) })
+	return func(v int64) int { return pin.g.Degree(v) }
+}
+
+// TestRunReleasesTheDegreeOracle: a plan without degree filters needs the
+// degree oracle only to generate tasks, so the run must not hold it while
+// tasks execute. graph.Graph.Degree, the usual oracle, pins the caller's
+// whole graph; holding it shows up as peak RSS on the library path.
+func TestRunReleasesTheDegreeOracle(t *testing.T) {
+	g := testGraph()
+	ord := graph.NewTotalOrder(g)
+	pl := bestPlan(t, gen.Triangle(), g, plan.OptimizedUncompressed)
+	if pl.DegreeFiltered {
+		t.Fatal("plan is degree-filtered: the executors need the oracle")
+	}
+	released := make(chan struct{})
+	var once sync.Once
+	var freed atomic.Bool
+	store := &recordingStore{Store: kv.NewLocal(g)}
+	store.onCall = func([]int64) {
+		once.Do(func() {
+			for i := 0; i < 50 && !freed.Load(); i++ {
+				runtime.GC()
+				select {
+				case <-released:
+					freed.Store(true)
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		})
+	}
+	if _, err := Run(pl, store, ord, pinnedDegree(g, released), Defaults(g)); err != nil {
+		t.Fatal(err)
+	}
+	if !freed.Load() {
+		t.Error("the degree oracle stayed reachable while tasks ran")
 	}
 }

@@ -20,7 +20,8 @@ import (
 )
 
 // Fault-tolerant execution tests: task re-execution with exactly-once
-// accounting, the FailFast escape hatch, cancellation end-to-end, and
+// accounting, failing on the first fault without a budget, cancellation
+// end-to-end, and
 // the full resilient stack over a faulty TCP storage tier.
 
 func TestRunContextPreCancelled(t *testing.T) {
@@ -191,7 +192,9 @@ func TestTaskRetryDeliversCodesExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestFailFastSurfacesFirstFault(t *testing.T) {
+// TestTaskRetryZeroSurfacesFirstFault: without a retry budget the first
+// task failure fails the run, its cause intact, and nothing is retried.
+func TestTaskRetryZeroSurfacesFirstFault(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 150, EdgesPer: 3, Triad: 0.4, Seed: 63})
 	ord := graph.NewTotalOrder(g)
 	pl := bestPlan(t, gen.Triangle(), g, plan.OptimizedUncompressed)
@@ -200,14 +203,17 @@ func TestFailFastSurfacesFirstFault(t *testing.T) {
 	store.Transient = true
 	store.FailEveryN = 50
 	cfg := Defaults(g)
-	cfg.TaskRetries = 10
-	cfg.FailFast = true
+	cfg.TaskRetries = 0
+	cfg.Obs = obs.NewRegistry()
 	res, err := Run(pl, store, ord, g.Degree, cfg)
 	if err == nil {
-		t.Fatalf("FailFast healed a fault (retried %d)", res.TasksRetried)
+		t.Fatalf("TaskRetries = 0 healed a fault (retried %d)", res.TasksRetried)
 	}
 	if !errors.Is(err, kv.ErrInjected) {
 		t.Errorf("error chain lost the cause: %v", err)
+	}
+	if n := cfg.Obs.Counter("cluster.tasks.retried").Value(); n != 0 {
+		t.Errorf("cluster.tasks.retried = %d with TaskRetries = 0, want 0", n)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"benu/internal/graph"
 	"benu/internal/obs"
 	"benu/internal/plan"
-	"benu/internal/resilience"
 	"benu/internal/vcbc"
 )
 
@@ -51,12 +50,6 @@ type MasterConfig struct {
 	HeartbeatEvery time.Duration
 	// LeaseBatch caps tasks handed out per Lease call. Default 16.
 	LeaseBatch int
-	// Breaker configures the per-worker heartbeat breaker: every expiry
-	// scan that finds a worker silent past LeaseDuration records a
-	// failure, heartbeats record successes, and an open breaker
-	// declares the worker dead. The default (FailureThreshold 2) fences
-	// a worker after two consecutive silent scans.
-	Breaker resilience.BreakerConfig
 	// StoreAddrs are handed to workers that dial their own store.
 	StoreAddrs []string
 	// JournalPath enables crash-consistent recovery: every report's
@@ -81,10 +74,10 @@ type MasterConfig struct {
 	// callback (it was decoded fresh from the wire).
 	Emit     func(f []int64) bool
 	EmitCode func(c *vcbc.Code) bool
-	// Worker execution settings, propagated via JoinReply.
+	// Worker execution settings, propagated via JoinReply. Prefetch and
+	// CompactAdjacency fill each worker's exec.SourceOptions.
 	CompactAdjacency     bool
 	Prefetch             bool
-	PrefetchBatchSize    int
 	TriangleCacheEntries int
 	// Obs selects the metrics registry (sched.* names, plus the
 	// cluster.tasks.retried/failed re-execution counters). nil means
@@ -101,9 +94,6 @@ func (c *MasterConfig) withDefaults() {
 	}
 	if c.LeaseBatch <= 0 {
 		c.LeaseBatch = 16
-	}
-	if c.Breaker.FailureThreshold <= 0 {
-		c.Breaker.FailureThreshold = 2
 	}
 }
 
@@ -182,9 +172,10 @@ type workerRec struct {
 	// spans is this worker's observed task-duration histogram — the
 	// obs task-span view stealing ranks stragglers by.
 	spans *obs.Histogram
-	// br is the heartbeat breaker: silence feeds failures, heartbeats
-	// feed successes, open means dead.
-	br *resilience.Breaker
+	// silentScans counts the expiry scans in a row that found this
+	// worker silent past LeaseDuration; fenceAfterSilentScans of them
+	// fence it, and any call resets it.
+	silentScans int
 	// serves marks the adjacency-store hash partitions this worker
 	// co-hosts (JoinArgs.StoreParts); numParts is the partitioning those
 	// indexes refer to. Empty means no locality preference.
@@ -192,9 +183,10 @@ type workerRec struct {
 	numParts int
 }
 
-// errHeartbeatMissed is what an expiry scan records into a silent
-// worker's breaker.
-var errHeartbeatMissed = errors.New("sched: heartbeat missed")
+// fenceAfterSilentScans is how many expiry scans in a row must find a
+// worker silent before it is declared dead: one silent scan can be a late
+// heartbeat, two in a row are taken for a dead worker.
+const fenceAfterSilentScans = 2
 
 // Master owns the task queue and serves it over TCP.
 type Master struct {
@@ -588,10 +580,9 @@ func (m *Master) acceptLoop() {
 	}
 }
 
-// expiryLoop scans for silent workers every LeaseDuration/4. Each scan
-// that finds a worker past its lease records a failure into the
-// worker's breaker; when the breaker opens the worker is fenced and its
-// leases are re-queued.
+// expiryLoop scans for silent workers every LeaseDuration/4. A worker
+// that fenceAfterSilentScans scans in a row find past its lease is
+// fenced and its leases are re-queued.
 func (m *Master) expiryLoop() {
 	defer m.wg.Done()
 	tick := m.cfg.LeaseDuration / 4
@@ -621,8 +612,7 @@ func (m *Master) scanLeases() {
 		if w.dead || now.Sub(w.lastSeen) <= m.cfg.LeaseDuration {
 			continue
 		}
-		w.br.Record(errHeartbeatMissed)
-		if w.br.State() != resilience.StateOpen {
+		if w.silentScans++; w.silentScans < fenceAfterSilentScans {
 			continue
 		}
 		m.fenceLocked(w)
@@ -707,7 +697,6 @@ func (s *schedService) Join(args *JoinArgs, reply *JoinReply) error {
 		leased:   map[int]struct{}{},
 		running:  map[int]struct{}{},
 		spans:    &obs.Histogram{},
-		br:       resilience.NewBreaker(m.cfg.Breaker, m.reg),
 	}
 	if len(args.StoreParts) > 0 && args.StoreNumParts > 0 {
 		w.serves = make(map[int]struct{}, len(args.StoreParts))
@@ -735,16 +724,15 @@ func (s *schedService) Join(args *JoinArgs, reply *JoinReply) error {
 	reply.WantCodes = m.cfg.EmitCode != nil
 	reply.CompactAdjacency = m.cfg.CompactAdjacency
 	reply.Prefetch = m.cfg.Prefetch
-	reply.PrefetchBatchSize = m.cfg.PrefetchBatchSize
 	reply.TriangleCacheEntries = m.cfg.TriangleCacheEntries
 	return nil
 }
 
-// touchLocked renews w's lease and feeds its breaker a success. Caller
+// touchLocked renews w's lease and clears its silent-scan count. Caller
 // holds m.mu.
 func (m *Master) touchLocked(w *workerRec) {
 	w.lastSeen = time.Now()
-	w.br.Record(nil)
+	w.silentScans = 0
 }
 
 // workerFor resolves and validates a worker ID. Caller holds m.mu.

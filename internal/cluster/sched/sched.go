@@ -18,10 +18,10 @@
 // Failure story, built on the PR 4 resilience layer:
 //
 //   - Workers hold a lease on every task handed to them, renewed by
-//     heartbeats. Missed heartbeats feed a per-worker
-//     resilience.Breaker; when it opens the worker is declared dead
-//     (fenced), its leases expire, and the tasks are re-queued — the
-//     networked analogue of MapReduce task re-execution (§VI).
+//     any call. Two expiry scans in a row that find a worker silent
+//     declare it dead (fenced): its leases expire and the tasks are
+//     re-queued — the networked analogue of MapReduce task
+//     re-execution (§VI).
 //   - Completion is committed by task ID exactly once. Execution is
 //     at-least-once (a stolen or expired task may finish twice); the
 //     first successful report wins, duplicates are counted
@@ -125,10 +125,10 @@ type JoinReply struct {
 	WantMatches bool
 	WantCodes   bool
 	// Execution settings, applied uniformly across workers so results
-	// and costs are comparable.
+	// and costs are comparable. CompactAdjacency and Prefetch configure
+	// the worker's exec.CachedSource; its executors follow from it.
 	CompactAdjacency     bool
 	Prefetch             bool
-	PrefetchBatchSize    int
 	TriangleCacheEntries int
 }
 

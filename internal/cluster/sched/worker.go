@@ -212,9 +212,9 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		store = dialed
 	}
 	src := exec.NewCachedSourceWith(store, cfg.CacheBytes, exec.SourceOptions{
-		Compact:   join.CompactAdjacency,
-		BatchSize: join.PrefetchBatchSize,
-		Obs:       reg,
+		Compact:  join.CompactAdjacency,
+		Prefetch: join.Prefetch,
+		Obs:      reg,
 	})
 
 	w := &Worker{
@@ -566,16 +566,11 @@ func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, j
 		w.heartbeatLoop()
 	}()
 
-	// With prefetch on the dispatcher has an executor of its own. It runs
-	// no task: between Lease calls it computes each lease window's
-	// first-level frontier.
-	var frontier *exec.Executor
-	if join.Prefetch {
-		opts := w.execOptions(pl, join)
-		opts.TriangleCacheEntries = 0
-		frontier = exec.NewExecutor(prog, w.src, join.NumVertices, ord, opts)
-	}
-	w.dispatchLoop(taskCh, frontier)
+	// The dispatcher has an executor of its own. It runs no task: between
+	// Lease calls it computes each lease window's first-level frontier.
+	opts := w.execOptions(pl, join)
+	opts.TriangleCacheEntries = 0
+	w.dispatchLoop(taskCh, exec.NewExecutor(prog, w.src, join.NumVertices, ord, opts))
 	close(taskCh)
 	tg.Wait()
 	// Every attempt that will ever finish is in the outbox: let the
@@ -587,7 +582,6 @@ func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, j
 	rg.Wait()
 	w.stop(nil) // release the heartbeater
 	hg.Wait()
-	w.src.Close()
 	// The source is settled: publish this machine's cache and wire totals,
 	// the series cluster.Run publishes for its simulated machines.
 	cluster.PublishMachines(w.reg, []cluster.WorkerStats{{
@@ -637,12 +631,12 @@ func smooth(mean, sample int64) int64 {
 	return mean + (sample-mean)/8
 }
 
-// dispatchLoop keeps the local queue filled to the lease depth and, with
-// prefetch on (frontier non-nil), fetches each lease batch's window —
-// start vertices, then the first-level frontier that executor computes
-// from them — before the threads see its tasks. It returns on shutdown,
-// drain (graceful: queued tasks still execute and report), fencing
-// without a retry policy, or the run completing.
+// dispatchLoop keeps the local queue filled to the lease depth and hands
+// each lease batch to the source's window prefetch — start vertices, then
+// the first-level frontier the frontier executor computes from them, when
+// the source prefetches — before the threads see its tasks. It returns on
+// shutdown, drain (graceful: queued tasks still execute and report),
+// fencing without a retry policy, or the run completing.
 func (w *Worker) dispatchLoop(taskCh chan<- leasedTask, frontier *exec.Executor) {
 	empty := uint(0) // consecutive Lease replies without tasks
 	for {
@@ -701,14 +695,12 @@ func (w *Worker) dispatchLoop(taskCh chan<- leasedTask, frontier *exec.Executor)
 			w.queue = append(w.queue, t.ID)
 		}
 		w.mu.Unlock()
-		if frontier != nil {
-			// The lease batch is this machine's task window: one store
-			// batch per partition for its start vertices and as few for
-			// its first-level frontier, before the threads see the tasks.
-			// A task stolen or revoked afterwards has cost its start list
-			// and its admitted share of the frontier.
-			w.src.PrefetchWindow(frontier, len(reply.Tasks), func(i int) exec.Task { return reply.Tasks[i].Task })
-		}
+		// The lease batch is this machine's task window: one store batch
+		// per partition for its start vertices and as few for its
+		// first-level frontier, before the threads see the tasks. A task
+		// stolen or revoked afterwards has cost its start list and its
+		// admitted share of the frontier.
+		w.src.PrefetchWindow(frontier, len(reply.Tasks), func(i int) exec.Task { return reply.Tasks[i].Task })
 		for _, t := range reply.Tasks {
 			taskCh <- leasedTask{WireTask: t, gen: gen} // never blocks: len(queue) ≤ depth ≤ cap(taskCh)
 		}
@@ -737,14 +729,12 @@ func (w *Worker) dispatchLoop(taskCh chan<- leasedTask, frontier *exec.Executor)
 	}
 }
 
-// execOptions is what every executor of this worker shares: the job's
-// data-plane switches and the degree and label oracles of the Join reply.
+// execOptions is what every executor of this worker shares: the degree
+// and label oracles of the Join reply. The data plane comes from w.src.
 func (w *Worker) execOptions(pl *plan.Plan, join JoinReply) exec.Options {
 	eopts := exec.Options{
 		TriangleCacheEntries: join.TriangleCacheEntries,
 		Obs:                  w.reg,
-		Prefetch:             join.Prefetch,
-		CompactAdjacency:     join.CompactAdjacency,
 	}
 	if pl.DegreeFiltered && len(join.Degrees) > 0 {
 		degrees := join.Degrees

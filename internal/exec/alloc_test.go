@@ -43,12 +43,12 @@ func TestExecutorSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
-			src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: true})
-			defer src.Close()
-			e := NewExecutor(prog, src, g.NumVertices(), ord, Options{
-				Prefetch:         true,
-				CompactAdjacency: true,
-			})
+			// The executor is told nothing: it takes the compact path and
+			// prefetches because the source says so. Were it to read this
+			// source's compact entries raw, each would decode per call and
+			// blow the budget below.
+			src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: true, Prefetch: true})
+			e := NewExecutor(prog, src, g.NumVertices(), ord, Options{})
 			sweep := func() {
 				for v := 0; v < g.NumVertices(); v++ {
 					if _, err := e.Run(Task{Start: int64(v)}); err != nil {
@@ -93,8 +93,8 @@ func TestWindowFrontierSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: compact})
-		e := NewExecutor(prog, src, g.NumVertices(), ord, Options{Prefetch: true, CompactAdjacency: compact})
+		src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: compact, Prefetch: true})
+		e := NewExecutor(prog, src, g.NumVertices(), ord, Options{})
 		base := 0
 		task := func(i int) Task { return Task{Start: int64(base + i)} }
 		sweep := func() {

@@ -11,24 +11,11 @@ import (
 
 // AdjSource provides adjacency sets to DBQ instructions. *CachedSource
 // satisfies it, as do the adapters GraphSource (in-memory graph) and
-// StoreSource (uncached kv.Store).
+// StoreSource (uncached kv.Store). A *CachedSource also decides the
+// executor's data plane: its SourceOptions say whether DBQs read compact
+// lists and whether ENU loops prefetch.
 type AdjSource interface {
 	GetAdj(v int64) ([]int64, error)
-}
-
-// ListSource is the compact read path of the adjacency data plane:
-// adjacency sets served as varint-delta graph.AdjList payloads, decoded
-// by the consumer into scratch it owns. *CachedSource implements it.
-type ListSource interface {
-	GetList(v int64) (graph.AdjList, error)
-}
-
-// Prefetcher accepts ENU-stage candidate batches: all keys a coming
-// enumeration loop will query, handed over up front so the source can
-// fetch them in batched round trips instead of one miss at a time.
-// *CachedSource implements it.
-type Prefetcher interface {
-	Prefetch(vs []int64) error
 }
 
 // GraphSource adapts an in-memory graph as an AdjSource with zero
@@ -121,16 +108,6 @@ type Options struct {
 	// executor accumulates thread-locally and flushes once per task, so
 	// reporting never touches the per-candidate inner loops.
 	Obs *obs.Registry
-	// Prefetch lets prefetchable ENU instructions (those whose target
-	// vertex is DB-queried before the next enumeration level) hand their
-	// whole candidate set to the source before iterating. Takes effect
-	// only when the source implements Prefetcher; ignored otherwise.
-	Prefetch bool
-	// CompactAdjacency routes DBQ instructions through the source's
-	// compact list path (ListSource), decoding into per-instruction
-	// scratch. Takes effect only when the source implements ListSource;
-	// ignored otherwise. Results are bit-identical to the raw path.
-	CompactAdjacency bool
 }
 
 // Executor runs local search tasks for one compiled program. It is
@@ -139,8 +116,13 @@ type Options struct {
 type Executor struct {
 	prog *Program
 	src  AdjSource
-	lsrc ListSource // non-nil when Options.CompactAdjacency and src supports it
-	pf   Prefetcher // non-nil when Options.Prefetch and src supports it
+	// lsrc is src when it is a compact CachedSource: DBQs read its lists
+	// and decode into per-instruction scratch (or stream them, when lazy).
+	// pf is src when it is a CachedSource with prefetch on: prefetchable
+	// ENU instructions — those whose target vertex is DB-queried before
+	// the next level — hand it their candidate set before iterating.
+	lsrc *CachedSource
+	pf   *CachedSource
 	ord  *graph.TotalOrder
 	numV int
 
@@ -205,14 +187,12 @@ func NewExecutor(prog *Program, src AdjSource, numVertices int, ord *graph.Total
 	if prog.numSlots > 0 {
 		e.marks = make([]graph.Bitset, prog.numSlots)
 	}
-	if opts.CompactAdjacency {
-		if ls, ok := src.(ListSource); ok {
-			e.lsrc = ls
+	if cs, ok := src.(*CachedSource); ok {
+		if cs.opts.Compact {
+			e.lsrc = cs
 		}
-	}
-	if opts.Prefetch {
-		if p, ok := src.(Prefetcher); ok {
-			e.pf = p
+		if cs.opts.Prefetch {
+			e.pf = cs
 		}
 	}
 	e.sink = newObsSink(opts.Obs)
@@ -298,7 +278,7 @@ func (e *Executor) run(pc int) error {
 
 		case plan.OpDBQ:
 			if e.lsrc != nil {
-				l, err := e.lsrc.GetList(e.f[in.vertex])
+				l, err := e.lsrc.getList(e.f[in.vertex])
 				if err != nil {
 					return err
 				}

@@ -88,8 +88,8 @@ func BenchmarkWindowFrontier(b *testing.B) {
 			name = "frontier"
 		}
 		b.Run(name, func(b *testing.B) {
-			src := NewCachedSourceWith(client, g.SizeBytes()/4, SourceOptions{Compact: true})
-			e := NewExecutor(prog, src, g.NumVertices(), ord, Options{Prefetch: true, CompactAdjacency: true})
+			src := NewCachedSourceWith(client, g.SizeBytes()/4, SourceOptions{Compact: true, Prefetch: true})
+			e := NewExecutor(prog, src, g.NumVertices(), ord, Options{})
 			var walker *Executor
 			if frontier {
 				walker = e

@@ -297,12 +297,12 @@ func newWindowFixture(t *testing.T, n int) *windowFixture {
 	return f
 }
 
-func (f *windowFixture) source(capacity int64, compact bool, workers int) *CachedSource {
-	return NewCachedSourceWith(f.store, capacity, SourceOptions{Compact: compact, PrefetchWorkers: workers, Obs: f.reg})
+func (f *windowFixture) source(capacity int64, compact bool) *CachedSource {
+	return NewCachedSourceWith(f.store, capacity, SourceOptions{Compact: compact, Prefetch: true, Obs: f.reg})
 }
 
-func (f *windowFixture) executor(src *CachedSource, compact bool) *Executor {
-	return NewExecutor(f.prog, src, f.g.NumVertices(), graph.NewTotalOrder(f.g), Options{Prefetch: true, CompactAdjacency: compact, Obs: f.reg})
+func (f *windowFixture) executor(src *CachedSource) *Executor {
+	return NewExecutor(f.prog, src, f.g.NumVertices(), graph.NewTotalOrder(f.g), Options{Obs: f.reg})
 }
 
 func (f *windowFixture) task(i int) Task { return f.tasks[i] }
@@ -314,8 +314,8 @@ func (f *windowFixture) task(i int) Task { return f.tasks[i] }
 func TestWindowIsTwoBatches(t *testing.T) {
 	for _, compact := range []bool{false, true} {
 		f := newWindowFixture(t, 16)
-		src := f.source(4*f.g.SizeBytes(), compact, 0)
-		e := f.executor(src, compact)
+		src := f.source(4*f.g.SizeBytes(), compact)
+		e := f.executor(src)
 		src.PrefetchWindow(e, len(f.tasks), f.task)
 		if len(f.store.calls) != 2 {
 			t.Fatalf("compact=%v: %d store calls for one window, want 2 (starts, frontier): %v", compact, len(f.store.calls), f.store.calls)
@@ -373,8 +373,8 @@ func TestWindowIsTwoBatches(t *testing.T) {
 // TestLRUPeekIsOffTheBooks.)
 func TestWindowFrontierIsOffTheBooks(t *testing.T) {
 	f := newWindowFixture(t, 16)
-	src := f.source(4*f.g.SizeBytes(), true, 0)
-	src.PrefetchWindow(f.executor(src, true), len(f.tasks), f.task)
+	src := f.source(4*f.g.SizeBytes(), true)
+	src.PrefetchWindow(f.executor(src), len(f.tasks), f.task)
 	if len(f.store.calls) != 2 {
 		t.Fatalf("%d store calls, want 2", len(f.store.calls))
 	}
@@ -386,7 +386,7 @@ func TestWindowFrontierIsOffTheBooks(t *testing.T) {
 		t.Errorf("the frontier walk consumed %d prefetched marks", used.Value())
 	}
 	for i, task := range f.tasks {
-		if _, err := src.GetList(task.Start); err != nil {
+		if _, err := src.getList(task.Start); err != nil {
 			t.Fatal(err)
 		}
 		if used.Value() != int64(i+1) {
@@ -400,8 +400,8 @@ func TestWindowFrontierIsOffTheBooks(t *testing.T) {
 // fetch their own ENU batch, as before; the count does not notice.
 func TestWindowFrontierBudget(t *testing.T) {
 	f := newWindowFixture(t, 16)
-	src := f.source(f.g.SizeBytes()/4, true, 0)
-	e := f.executor(src, true)
+	src := f.source(f.g.SizeBytes()/4, true)
+	e := f.executor(src)
 	src.PrefetchWindow(e, len(f.tasks), f.task)
 	if len(f.store.calls) != 2 {
 		t.Fatalf("%d store calls, want 2", len(f.store.calls))
@@ -432,29 +432,50 @@ func TestWindowFrontierBudget(t *testing.T) {
 	}
 }
 
-// TestWindowWithoutFrontier: no executor, a non-qualifying program or an
-// asynchronous prefetcher leave the window at its start batch.
+// TestWindowWithoutFrontier: no executor or a non-qualifying program
+// leave the window at its start batch.
 func TestWindowWithoutFrontier(t *testing.T) {
 	f := newWindowFixture(t, 16)
-	src := f.source(4*f.g.SizeBytes(), true, 0)
+	src := f.source(4*f.g.SizeBytes(), true)
 	src.PrefetchWindow(nil, len(f.tasks), f.task)
 	if len(f.store.calls) != 1 {
 		t.Errorf("nil executor: %d store calls, want 1", len(f.store.calls))
 	}
 
 	f = newWindowFixture(t, 16)
-	src = f.source(4*f.g.SizeBytes(), true, 0)
+	src = f.source(4*f.g.SizeBytes(), true)
 	star := compileBest(t, gen.Star(4), f.g, plan.OptimizedUncompressed)
 	src.PrefetchWindow(NewExecutor(star, src, f.g.NumVertices(), graph.NewTotalOrder(f.g), Options{}), len(f.tasks), f.task)
 	if len(f.store.calls) != 1 {
 		t.Errorf("non-qualifying program: %d store calls, want 1", len(f.store.calls))
 	}
+}
 
-	f = newWindowFixture(t, 16)
-	src = f.source(4*f.g.SizeBytes(), true, 2)
-	src.PrefetchWindow(f.executor(src, true), len(f.tasks), f.task)
-	src.Close()
-	if len(f.store.calls) != 1 {
-		t.Errorf("async prefetch: %d store calls, want 1", len(f.store.calls))
+// TestWindowNeedsPrefetch: prefetch is the source's switch. A source built
+// without it fetches no window, so the runtimes may call PrefetchWindow
+// unconditionally, and an executor over it never prefetches either: each
+// of its tasks' store calls is a single-key miss.
+func TestWindowNeedsPrefetch(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		f := newWindowFixture(t, 16)
+		src := NewCachedSourceWith(f.store, 4*f.g.SizeBytes(), SourceOptions{Compact: compact, Obs: f.reg})
+		e := f.executor(src)
+		src.PrefetchWindow(e, len(f.tasks), f.task)
+		if len(f.store.calls) != 0 {
+			t.Fatalf("compact=%v: a window without prefetch made %d store calls, want 0: %v", compact, len(f.store.calls), f.store.calls)
+		}
+		for _, task := range f.tasks {
+			if _, err := e.Run(task); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(f.store.calls) == 0 {
+			t.Fatalf("compact=%v: the tasks made no store call: the test runs nothing", compact)
+		}
+		for _, call := range f.store.calls {
+			if len(call) != 1 {
+				t.Fatalf("compact=%v: a %d-key batch without prefetch: %v", compact, len(call), call)
+			}
+		}
 	}
 }

@@ -230,7 +230,7 @@ func TestExecutorReuseAfterFailedTask(t *testing.T) {
 			name := fmt.Sprintf("compact=%v/split=%d", compact, task.SplitCount)
 			faulty := kv.NewFaulty(kv.NewLocal(g))
 			src := NewCachedSourceWith(faulty, 0, SourceOptions{Compact: compact}) // no cache: one store call per DBQ
-			e := NewExecutor(prog, src, g.NumVertices(), ord, Options{CompactAdjacency: compact, TriangleCacheEntries: 16})
+			e := NewExecutor(prog, src, g.NumVertices(), ord, Options{TriangleCacheEntries: 16})
 
 			// The heaviest task, by store calls, and its clean count.
 			var clean Stats
@@ -351,8 +351,7 @@ func TestOutOfRangeNeighbourFailsTheTask(t *testing.T) {
 	prog := compileBest(t, gen.Triangle(), g, plan.AllOptions)
 	for _, compact := range []bool{false, true} {
 		src := NewCachedSourceWith(client, g.SizeBytes()*4, SourceOptions{Compact: compact})
-		_, err := RunAll(prog, src, g.NumVertices(), graph.NewTotalOrder(g), Options{CompactAdjacency: compact})
-		src.Close()
+		_, err := RunAll(prog, src, g.NumVertices(), graph.NewTotalOrder(g), Options{})
 		if err == nil || !strings.Contains(err.Error(), "outside [0,50)") {
 			t.Errorf("compact=%v: err = %v, want the out-of-range neighbour reported", compact, err)
 		}
@@ -471,8 +470,7 @@ func TestProbeChangesNoCount(t *testing.T) {
 			for _, compact := range []bool{false, true} {
 				for _, tri := range []int{0, 64} {
 					src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: compact})
-					s, err := RunAll(prog, src, g.NumVertices(), ord, Options{CompactAdjacency: compact, TriangleCacheEntries: tri})
-					src.Close()
+					s, err := RunAll(prog, src, g.NumVertices(), ord, Options{TriangleCacheEntries: tri})
 					if err != nil {
 						t.Fatal(err)
 					}

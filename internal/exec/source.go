@@ -17,8 +17,9 @@ import (
 // free; misses query the store, install the result, and count as
 // communication.
 //
-// Beyond the plain read-through cache, CachedSource implements the
-// batched adjacency data plane:
+// It is also the one place a machine's data plane is configured
+// (SourceOptions): every executor built over it reads that mode from it.
+// Beyond the plain read-through cache it implements:
 //
 //   - Single-flight misses: concurrent misses on the same key issue ONE
 //     store query; every other caller joins the in-flight fetch and
@@ -26,21 +27,18 @@ import (
 //     accounting they used to cause) are structurally impossible.
 //   - Compact mode (SourceOptions.Compact): fetches travel and cache as
 //     varint-delta graph.AdjList payloads — typically 4-8x smaller than
-//     raw int64 slices — served to the executor through GetList.
-//   - Prefetch: keys known ahead of demand arrive in whole sets — an
-//     ENU loop's candidates from the executor, a task window's start
-//     vertices and, from them, its tasks' first-level candidates from the
-//     runtime (PrefetchWindow) — and the uncached ones are fetched in
-//     batched round trips. With PrefetchWorkers == 0 the
-//     batch runs inline and errors return to the caller (fully
-//     deterministic); with workers the batch runs in the background.
-//     Either way a failed batch is counted (source.prefetch.errors); a
-//     caller may drop the error, because the demand path will re-fetch
-//     and surface it.
+//     raw int64 slices — and executors read them without decoding the
+//     whole list.
+//   - Prefetch (SourceOptions.Prefetch): keys known ahead of demand
+//     arrive in whole sets — an ENU loop's candidates from the executor,
+//     a task window's start vertices and, from them, its tasks'
+//     first-level candidates from the runtime (PrefetchWindow) — and the
+//     uncached ones are fetched inline in batched round trips. A failed
+//     batch is counted (source.prefetch.errors); a caller may drop the
+//     error, because the demand path will re-fetch and surface it.
 //
 // A CachedSource is safe for concurrent use by all worker threads of a
-// machine. Call Close when done (it stops the async prefetch workers; a
-// no-op in synchronous mode).
+// machine.
 type CachedSource struct {
 	store    kv.Store
 	cache    *cache.LRU
@@ -54,26 +52,22 @@ type CachedSource struct {
 	mu      sync.Mutex
 	flights map[int64]*flight
 
-	queue     chan []int64
-	wg        sync.WaitGroup
-	closeOnce sync.Once
-
 	so *sourceObs
 }
 
 // SourceOptions configures a CachedSource's data plane. The zero value
-// reproduces the classic behavior: raw []int64 fetches, no prefetch
-// workers, metrics into obs.Default().
+// reproduces the classic behavior: raw []int64 fetches one miss at a
+// time, metrics into obs.Default().
 type SourceOptions struct {
 	// Compact moves fetches and cache entries to the compact varint-delta
-	// encoding (graph.AdjList). The executor reads compact sources through
-	// GetList and decodes into per-instruction scratch.
+	// encoding (graph.AdjList). Executors over a compact source read
+	// through getList and decode into per-instruction scratch.
 	Compact bool
-	// PrefetchWorkers is the number of background goroutines draining the
-	// prefetch queue. 0 means synchronous prefetch: Prefetch fetches
-	// inline and returns the first batch error (deterministic, used by the
-	// differential matrix and fault-injection tests).
-	PrefetchWorkers int
+	// Prefetch turns on batched fetching ahead of demand: executors over
+	// this source hand each prefetchable ENU loop's candidates to Prefetch
+	// before iterating, and PrefetchWindow fetches a task window. Off,
+	// PrefetchWindow returns at once and executors never prefetch.
+	Prefetch bool
 	// BatchSize caps the keys per batched store round trip (default 64).
 	BatchSize int
 	// Obs selects the metrics registry (source.* names, see
@@ -100,27 +94,23 @@ type StoreSource struct{ S kv.Store }
 // GetAdj implements AdjSource.
 func (s StoreSource) GetAdj(v int64) ([]int64, error) { return kv.GetAdj(s.S, v) }
 
-// flight is one in-progress store fetch that concurrent misses share.
+// flight is one in-progress store fetch that concurrent misses share. It
+// carries the list in the source's form: list when compact, adj when raw.
 type flight struct {
-	done    chan struct{}
-	compact bool
-	adj     []int64
-	list    graph.AdjList
-	err     error
+	done chan struct{}
+	adj  []int64
+	list graph.AdjList
+	err  error
 }
 
 // sourceObs is the pre-resolved registry handles of one source.
 type sourceObs struct {
 	batchSize   *obs.Histogram
 	dedupJoins  *obs.Counter
-	pfEnqueued  *obs.Counter
-	pfDropped   *obs.Counter
 	pfInstalled *obs.Counter
 	pfUsed      *obs.Counter
 	pfErrors    *obs.Counter
 	bytesSaved  *obs.Counter
-	mixedDecode *obs.Counter
-	mixedEncode *obs.Counter
 	scratchUses *obs.Counter
 }
 
@@ -131,14 +121,10 @@ func newSourceObs(r *obs.Registry) *sourceObs {
 	return &sourceObs{
 		batchSize:   r.Histogram("source.batch.size"),
 		dedupJoins:  r.Counter("source.singleflight.joins"),
-		pfEnqueued:  r.Counter("source.prefetch.enqueued"),
-		pfDropped:   r.Counter("source.prefetch.dropped"),
 		pfInstalled: r.Counter("source.prefetch.installed"),
 		pfUsed:      r.Counter("source.prefetch.used"),
 		pfErrors:    r.Counter("source.prefetch.errors"),
 		bytesSaved:  r.Counter("source.compact.bytes_saved"),
-		mixedDecode: r.Counter("source.compact.decode_mixed"),
-		mixedEncode: r.Counter("source.compact.encode_mixed"),
 		scratchUses: r.Counter("source.scratch.borrows"),
 	}
 }
@@ -168,28 +154,11 @@ func NewCachedSourceWith(store kv.Store, capacity int64, opts SourceOptions) *Ca
 	// ahead of demand are flagged, and the first demand read of a flagged
 	// entry bumps the counter — no per-hit bookkeeping in the source.
 	s.cache.OnPrefetchUse(s.so.pfUsed.Inc)
-	if opts.PrefetchWorkers > 0 {
-		s.queue = make(chan []int64, opts.PrefetchWorkers*8)
-		for i := 0; i < opts.PrefetchWorkers; i++ {
-			s.wg.Add(1)
-			go s.prefetchWorker()
-		}
-	}
 	return s
 }
 
-// Close stops the async prefetch workers, draining the queue first. It is
-// idempotent and a no-op for synchronous sources.
-func (s *CachedSource) Close() {
-	s.closeOnce.Do(func() {
-		if s.queue != nil {
-			close(s.queue)
-			s.wg.Wait()
-		}
-	})
-}
-
-// GetAdj implements AdjSource.
+// GetAdj implements AdjSource. Executors over a compact source read
+// through getList instead; a raw read of one decodes per call.
 func (s *CachedSource) GetAdj(v int64) ([]int64, error) {
 	if adj, ok := s.cache.Get(v); ok {
 		return adj, nil
@@ -198,19 +167,15 @@ func (s *CachedSource) GetAdj(v int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fl.compact {
-		// Raw reader on a compact flight: the mismatch costs one decode
-		// allocation per miss. The counter flags misconfigured pipelines
-		// (an executor without CompactAdjacency over a compact source).
-		s.so.mixedDecode.Inc()
+	if s.opts.Compact {
 		return fl.list.AppendDecoded(nil)
 	}
 	return fl.adj, nil
 }
 
-// GetList implements ListSource: the compact read path. On a compact
-// source a hit is zero-copy; raw entries are encoded per call.
-func (s *CachedSource) GetList(v int64) (graph.AdjList, error) {
+// getList is the compact read path, for compact sources only: a hit is
+// zero-copy.
+func (s *CachedSource) getList(v int64) (graph.AdjList, error) {
 	if l, ok := s.cache.GetList(v); ok {
 		return l, nil
 	}
@@ -218,13 +183,7 @@ func (s *CachedSource) GetList(v int64) (graph.AdjList, error) {
 	if err != nil {
 		return graph.AdjList{}, err
 	}
-	if fl.compact {
-		return fl.list, nil
-	}
-	// Compact reader on a raw flight: one encode per miss (see the
-	// decode_mixed twin above).
-	s.so.mixedEncode.Inc()
-	return graph.EncodeAdjList(fl.adj), nil
+	return fl.list, nil
 }
 
 // ctxErr reports the source context's cancellation, if any.
@@ -262,9 +221,9 @@ func (s *CachedSource) fetchOne(v int64) (*flight, error) {
 		}
 		if adj, list, ok := s.cache.Peek(v); ok {
 			s.mu.Unlock()
-			return &flight{compact: !list.IsZero(), adj: adj, list: list}, nil
+			return &flight{adj: adj, list: list}, nil
 		}
-		fl := &flight{done: make(chan struct{}), compact: s.opts.Compact}
+		fl := &flight{done: make(chan struct{})}
 		s.flights[v] = fl
 		s.mu.Unlock()
 
@@ -278,7 +237,7 @@ func (s *CachedSource) fetchOne(v int64) (*flight, error) {
 
 // lead performs the leader's store fetch for flight fl and completes it.
 func (s *CachedSource) lead(fl *flight, v int64) {
-	if fl.compact {
+	if s.opts.Compact {
 		lists, err := s.store.GetAdjBatch([]int64{v})
 		if err == nil {
 			fl.list = lists[0]
@@ -354,8 +313,7 @@ const frontierBudgetDiv = 16
 // per partition where every task used to open with a single-key miss.
 //
 // Then, when e's program has a start-list-determined first level
-// (Program.frontierPC) and prefetch is synchronous, the window's tasks
-// are walked in order: each resident start list is read off the books
+// (Program.frontierPC), the window's tasks are walked in order: each resident start list is read off the books
 // (cache.Peek: no hit counted, no prefetched mark consumed, no reference
 // bit — the demand read still to come is the one the CLOCK rule and the
 // coverage metric see), e computes the task's first-level candidates from
@@ -368,10 +326,11 @@ const frontierBudgetDiv = 16
 // Both fetches are speculative: their errors are dropped here — Prefetch
 // has counted them — and never fail a pop, a task attempt or a retry
 // budget. e is idle between tasks (the popping thread's executor, or the
-// dispatcher's own); nil skips the second phase. Without a cache there is
-// nowhere to install a window, and none is fetched.
+// dispatcher's own); nil skips the second phase. A source without
+// prefetch fetches no window, and neither does one without a cache: there
+// is nowhere to install it.
 func (s *CachedSource) PrefetchWindow(e *Executor, n int, task func(i int) Task) {
-	if s.capacity <= 0 {
+	if !s.opts.Prefetch || s.capacity <= 0 {
 		return
 	}
 	p := graph.BorrowInts()
@@ -382,7 +341,7 @@ func (s *CachedSource) PrefetchWindow(e *Executor, n int, task func(i int) Task)
 		}
 	}
 	_ = s.Prefetch(vs) // the demand path re-fetches and surfaces it
-	if e != nil && e.prog.frontierPC >= 0 && s.queue == nil {
+	if e != nil && e.prog.frontierPC >= 0 {
 		vs = s.appendFrontier(vs[:0], e, n, task)
 		slices.Sort(vs)
 		_ = s.Prefetch(slices.Compact(vs))
@@ -424,65 +383,27 @@ func (s *CachedSource) appendFrontier(dst []int64, e *Executor, n int, task func
 	return dst
 }
 
-// Prefetch implements Prefetcher: batch-fetch the uncached keys of vs
-// into the cache ahead of demand. Synchronous mode (PrefetchWorkers == 0)
-// fetches inline and returns the first batch error; asynchronous mode
-// enqueues copies of the key batches and returns immediately (a full
-// queue drops the overflow — prefetch is speculative, dropping is safe).
-// A disabled cache makes prefetch pointless (nothing can be installed),
-// so it becomes a no-op.
+// Prefetch batch-fetches the uncached keys of vs into the cache ahead of
+// demand, inline, and returns the first batch error. It fetches whatever
+// SourceOptions.Prefetch says: that switch decides whether executors and
+// PrefetchWindow call it. A disabled cache makes prefetch pointless
+// (nothing can be installed), so it becomes a no-op.
 func (s *CachedSource) Prefetch(vs []int64) error {
 	if s.capacity <= 0 || len(vs) == 0 {
 		return nil
 	}
-	// The uncached-key filter runs once per set; in synchronous mode
-	// the scratch is pooled so steady-state prefetching allocates nothing.
-	// Asynchronous batches escape into the worker queue and keep their
-	// own fresh backing array.
-	var p *[]int64
-	var need []int64
-	if s.queue == nil {
-		p = graph.BorrowInts()
-		s.so.scratchUses.Inc()
-		need = (*p)[:0]
-	} else {
-		need = vs[:0:0]
-	}
-	need = s.cache.AppendMissing(need, vs)
+	// The uncached-key filter runs once per set, into pooled scratch, so
+	// steady-state prefetching allocates nothing.
+	p := graph.BorrowInts()
+	s.so.scratchUses.Inc()
+	need := s.cache.AppendMissing((*p)[:0], vs)
 	var err error
 	for off := 0; off < len(need) && err == nil; off += s.opts.BatchSize {
-		end := off + s.opts.BatchSize
-		if end > len(need) {
-			end = len(need)
-		}
-		batch := need[off:end]
-		if s.queue != nil {
-			select {
-			case s.queue <- batch:
-				s.so.pfEnqueued.Add(int64(len(batch)))
-			default:
-				s.so.pfDropped.Add(int64(len(batch)))
-			}
-			continue
-		}
-		err = s.fetchBatch(batch)
+		err = s.fetchBatch(need[off:min(off+s.opts.BatchSize, len(need))])
 	}
-	if p != nil {
-		*p = need
-		graph.ReturnInts(p)
-	}
+	*p = need
+	graph.ReturnInts(p)
 	return err
-}
-
-// prefetchWorker drains the async queue. Failures are speculative —
-// counted by fetchBatch, never raised — because any key the worker failed
-// to install will be re-fetched (and its error surfaced) by the demand
-// path.
-func (s *CachedSource) prefetchWorker() {
-	defer s.wg.Done()
-	for batch := range s.queue {
-		_ = s.fetchBatch(batch)
-	}
 }
 
 // fetchBatch fetches one batch of keys in a single batched store round
@@ -492,7 +413,7 @@ func (s *CachedSource) prefetchWorker() {
 // every remaining key so demand misses dedup against the prefetch. The
 // install honors the store contract: on error nothing is installed (the
 // store returned no partial results to install) and the batch is counted
-// in source.prefetch.errors, inline or in the background.
+// in source.prefetch.errors.
 func (s *CachedSource) fetchBatch(keys []int64) error {
 	if err := s.ctxErr(); err != nil {
 		return err
@@ -516,7 +437,7 @@ func (s *CachedSource) fetchBatch(keys []int64) error {
 		if _, ok := s.flights[v]; ok || s.cache.Contains(v) {
 			continue // in flight, or installed since the caller filtered keys
 		}
-		fl := &flight{done: make(chan struct{}), compact: s.opts.Compact}
+		fl := &flight{done: make(chan struct{})}
 		s.flights[v] = fl
 		mine = append(mine, v)
 		fls = append(fls, fl)

@@ -191,35 +191,6 @@ func TestCachedSourceSyncPrefetchFailFast(t *testing.T) {
 	}
 }
 
-func TestCachedSourceAsyncPrefetchDrain(t *testing.T) {
-	g := gen.DemoDataGraph()
-	src := NewCachedSourceWith(kv.NewLocal(g), 1<<20, SourceOptions{
-		PrefetchWorkers: 2,
-		BatchSize:       3,
-		Obs:             obs.NewRegistry(),
-	})
-	keys := []int64{0, 1, 2, 3, 4, 5, 6}
-	if err := src.Prefetch(keys); err != nil {
-		t.Fatal(err)
-	}
-	src.Close() // drains the queue; the counters are stable afterwards
-
-	for _, v := range keys {
-		if _, err := src.GetAdj(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every key was fetched by the workers exactly once; the demand reads
-	// all hit the cache.
-	if src.RemoteQueries() != int64(len(keys)) {
-		t.Errorf("remote queries = %d, want %d", src.RemoteQueries(), len(keys))
-	}
-	st := src.Cache().Stats()
-	if st.Hits != int64(len(keys)) {
-		t.Errorf("cache hits = %d, want %d", st.Hits, len(keys))
-	}
-}
-
 func TestCachedSourceCompactMatchesRaw(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 200, EdgesPer: 4, Seed: 11})
 	src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*2, SourceOptions{
@@ -241,7 +212,7 @@ func TestCachedSourceCompactMatchesRaw(t *testing.T) {
 				t.Fatalf("adj(%d) content mismatch", v)
 			}
 		}
-		l, err := src.GetList(v)
+		l, err := src.getList(v)
 		if err != nil {
 			t.Fatal(err)
 		}
