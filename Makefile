@@ -11,7 +11,7 @@ FUZZTIME ?= 30s
 # the packages that own it, `race-chaos` over the whole module.
 CHAOS_TESTS := TestChaos|TestNetChaos|TestResilient|TestTaskRetry|TestRunContext|TestLeaseExpiry|TestSteal|TestJournal|TestEpoch|TestDuplicate|TestWorkerShutdown|TestFlakyConn
 
-.PHONY: all build test short race race-chaos vet lint lint-sarif bench bench-json bench-gate check diff chaos chaos-net smoke-net smoke-disk fuzz tidy-check clean
+.PHONY: all build test short race race-chaos vet lint lint-sarif bench bench-json bench-gate check diff chaos chaos-net smoke-net smoke-disk fuzz tidy-check loc clean
 
 all: check
 
@@ -151,6 +151,13 @@ bench-json:
 ## CI perf-regression gate.
 bench-gate:
 	$(GO) run ./cmd/benu-bench -bench-json /tmp/bench-fresh.json -bench-baseline BENCH_PR6.json
+
+## loc: added, removed and net non-test Go lines outside bench/ and
+## testdata/, from BASE (a git revision, default HEAD) to the working
+## tree — the line delta every change reports (make loc BASE=<rev>)
+BASE ?= HEAD
+loc:
+	./scripts/loc.sh $(BASE)
 
 ## check: tier-1 verification — what CI (and the next PR) must keep green
 check: build vet lint test race diff chaos

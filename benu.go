@@ -40,6 +40,9 @@ type (
 	PlanOptions = plan.Options
 	// ClusterConfig parameterizes the simulated shared-nothing cluster.
 	ClusterConfig = cluster.Config
+	// ClusterSpec is the machine settings ClusterConfig embeds: τ, the
+	// task retry budget, the triangle cache, and the data plane.
+	ClusterSpec = cluster.Spec
 	// Result summarizes a distributed enumeration: counts, communication
 	// volume, cache hit rates, per-worker stats.
 	Result = cluster.Result

@@ -20,7 +20,7 @@ import (
 	"io"
 	"os"
 
-	"benu/internal/gen"
+	"benu/cmd/internal/cli"
 	"benu/internal/graph"
 	"benu/internal/vcbc"
 )
@@ -44,26 +44,12 @@ func run(inPath, presetName, graphPath string, expand bool, limit int64, out io.
 	if inPath == "" {
 		return fmt.Errorf("-in is required")
 	}
-	var g *graph.Graph
-	switch {
-	case graphPath != "":
-		f, err := os.Open(graphPath)
-		if err != nil {
-			return err
-		}
-		g, err = graph.ReadEdgeList(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	case presetName != "":
-		preset, err := gen.PresetByName(presetName)
-		if err != nil {
-			return err
-		}
-		g = preset.Cached()
-	default:
+	if graphPath == "" && presetName == "" {
 		return fmt.Errorf("need -preset or -graph to reconstruct the total order")
+	}
+	g, err := cli.LoadGraph(graphPath, presetName)
+	if err != nil {
+		return err
 	}
 	ord := graph.NewTotalOrder(g)
 

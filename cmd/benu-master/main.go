@@ -43,13 +43,11 @@ import (
 	"syscall"
 	"time"
 
+	"benu/cmd/internal/cli"
 	"benu/internal/cluster/sched"
-	"benu/internal/estimate"
-	"benu/internal/gen"
 	"benu/internal/graph"
 	"benu/internal/kv"
 	"benu/internal/obs"
-	"benu/internal/plan"
 )
 
 func main() {
@@ -63,24 +61,26 @@ func main() {
 // exits on a malformed one.
 func parseFlags(args []string) runConfig {
 	var rc runConfig
+	_ = newFlagSet(&rc).Parse(args) // ExitOnError: Parse exits instead of returning an error
+	return rc
+}
+
+// newFlagSet binds benu-master's flags to rc: the ones it shares with
+// benu through package cli, then its own.
+func newFlagSet(rc *runConfig) *flag.FlagSet {
 	fs := flag.NewFlagSet("benu-master", flag.ExitOnError)
-	fs.StringVar(&rc.pattern, "pattern", "triangle", "pattern: triangle, square, chordal-square, q1..q9, cliqueK, pathK, cycleK, starK, demo")
-	fs.StringVar(&rc.graphPath, "graph", "", "data graph edge-list file (overrides -preset)")
-	fs.StringVar(&rc.preset, "preset", "as", "synthetic dataset preset: as, lj, ok, uk, fs")
+	cli.Register(fs, cli.Master, map[string]any{
+		"pattern": &rc.pattern, "graph": &rc.graphPath, "preset": &rc.preset,
+		"tau": &rc.tau, "retry": &rc.retry, "uncompressed": &rc.uncompressed,
+		"degree-filter": &rc.degreeFilter, "prefetch": &rc.prefetch,
+		"metrics": &rc.metrics, "v": &rc.verbose,
+	})
 	fs.StringVar(&rc.listen, "listen", "127.0.0.1:7077", "address to serve the task queue on")
 	fs.StringVar(&rc.journal, "journal", "", "crash-recovery journal path; reusing a dead master's journal resumes its run")
 	fs.IntVar(&rc.partitions, "store-partitions", 2, "adjacency storage nodes served from this process")
 	fs.StringVar(&rc.storeListen, "store-listen", "", "base host:port for the storage nodes (partition i served on port+i); empty picks ephemeral ports")
-	fs.IntVar(&rc.tau, "tau", 500, "task splitting degree threshold (0 = off)")
-	fs.BoolVar(&rc.uncompressed, "uncompressed", false, "disable VCBC compression")
-	fs.BoolVar(&rc.degreeFilter, "degree-filter", false, "add degree filtering conditions (§IV-A extension)")
-	fs.IntVar(&rc.retry, "retry", 2, "task re-executions per failure or expired lease (0 = off)")
 	fs.DurationVar(&rc.lease, "lease", 3*time.Second, "heartbeat silence tolerated before a worker's leases expire")
-	fs.BoolVar(&rc.prefetch, "prefetch", true, "workers batch-prefetch adjacency: each lease batch's start vertices and first-level candidates, and ENU candidates before enumerating; -prefetch=false is the paper's one-query-per-miss data plane (Fig. 8-style runs, or a compute-bound job on a graph that fits the workers' caches)")
-	fs.BoolVar(&rc.metrics, "metrics", false, "print the run's metrics snapshot (see docs/METRICS.md)")
-	fs.BoolVar(&rc.verbose, "v", false, "print the execution plan")
-	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
-	return rc
+	return fs
 }
 
 // runConfig carries the parsed command-line options.
@@ -162,35 +162,7 @@ func run(rc runConfig) error {
 // start loads the graph, plans the pattern, binds the control-plane
 // address, serves the storage nodes, and starts the master.
 func start(rc runConfig) (*deployment, error) {
-	p, err := gen.PatternByName(rc.pattern)
-	if err != nil {
-		return nil, err
-	}
-	var g *graph.Graph
-	if rc.graphPath != "" {
-		f, err := os.Open(rc.graphPath)
-		if err != nil {
-			return nil, err
-		}
-		g, err = graph.ReadEdgeList(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		preset, err := gen.PresetByName(rc.preset)
-		if err != nil {
-			return nil, err
-		}
-		g = preset.Generate()
-	}
-	fmt.Printf("data graph: N=%d M=%d maxdeg=%d\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
-
-	opts := plan.AllOptions
-	opts.VCBC = !rc.uncompressed
-	opts.DegreeFilter = rc.degreeFilter
-	st := estimate.NewStats(g, estimate.MaxMomentDefault)
-	best, err := plan.GenerateBestPlan(p, st, opts)
+	g, best, err := cli.Load(rc.pattern, rc.graphPath, rc.preset, rc.uncompressed, rc.degreeFilter, false)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,6 +24,28 @@ func TestPrefetchFlag(t *testing.T) {
 	}
 	if parseFlags([]string{"-prefetch=false"}).prefetch {
 		t.Error("-prefetch=false left prefetch on")
+	}
+}
+
+// TestFlagSet pins benu-master's flags, names and defaults, to the set
+// the binary had before its shared flags moved to package cli: a flag
+// that appears or vanishes, or a default that drifts (-preset is as here
+// and ok in benu, -prefetch on here and off there), fails.
+func TestFlagSet(t *testing.T) {
+	want := map[string]string{
+		"pattern": "triangle", "graph": "", "preset": "as", "tau": "500",
+		"uncompressed": "false", "degree-filter": "false", "retry": "2",
+		"prefetch": "true", "metrics": "false", "v": "false",
+		"listen": "127.0.0.1:7077", "journal": "", "store-partitions": "2",
+		"store-listen": "", "lease": "3s",
+	}
+	got := map[string]string{}
+	newFlagSet(new(runConfig)).VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags and defaults:\n got %v\nwant %v", got, want)
+	}
+	if rc := parseFlags(nil); rc.preset != "as" || !rc.prefetch || rc.retry != 2 || rc.tau != 500 {
+		t.Errorf("parsed defaults: preset=%q prefetch=%v retry=%d tau=%d", rc.preset, rc.prefetch, rc.retry, rc.tau)
 	}
 }
 

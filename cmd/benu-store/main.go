@@ -19,9 +19,8 @@ import (
 	"fmt"
 	"os"
 
+	"benu/cmd/internal/cli"
 	"benu/internal/csr"
-	"benu/internal/gen"
-	"benu/internal/graph"
 )
 
 func main() {
@@ -63,7 +62,7 @@ func build(args []string) error {
 	if *parts < 1 {
 		return fmt.Errorf("build: -parts %d < 1", *parts)
 	}
-	g, err := loadGraph(*graphPath, *preset)
+	g, err := cli.LoadGraph(*graphPath, *preset)
 	if err != nil {
 		return err
 	}
@@ -106,20 +105,4 @@ func info(args []string) error {
 		f.Close()
 	}
 	return nil
-}
-
-func loadGraph(path, preset string) (*graph.Graph, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ReadEdgeList(f)
-	}
-	p, err := gen.PresetByName(preset)
-	if err != nil {
-		return nil, err
-	}
-	return p.Generate(), nil
 }

@@ -14,8 +14,9 @@
 //
 // -prefetch and -compact pick each machine's data plane: batched fetches
 // ahead of demand, and varint-delta lists in cache and on the wire.
-// -retry sets the store-call retries and task re-executions; -retry 0
-// fails the run on the first fault.
+// -retry N gives every store call N+1 attempts, each bounded by
+// -deadline when one is set, and every task N re-executions; -retry 0
+// fails the run on the first fault, -deadline or not.
 //
 // -output streams the results to a file: a VCBC-compressed stream for
 // compressed plans (count or expand it with benu-decode), plain
@@ -33,9 +34,8 @@ import (
 	"sync"
 	"time"
 
+	"benu/cmd/internal/cli"
 	"benu/internal/cluster"
-	"benu/internal/estimate"
-	"benu/internal/gen"
 	"benu/internal/graph"
 	"benu/internal/kv"
 	"benu/internal/obs"
@@ -45,42 +45,40 @@ import (
 )
 
 func main() {
-	var (
-		patternName  = flag.String("pattern", "triangle", "pattern: triangle, square, chordal-square, q1..q9, cliqueK, pathK, cycleK, starK, demo")
-		graphPath    = flag.String("graph", "", "data graph edge-list file (overrides -preset)")
-		presetName   = flag.String("preset", "ok", "synthetic dataset preset: as, lj, ok, uk, fs")
-		workers      = flag.Int("workers", 4, "simulated worker machines")
-		threads      = flag.Int("threads", 4, "working threads per machine")
-		cacheRel     = flag.Float64("cache", 1.0, "DB cache capacity as a fraction of the data graph size")
-		tau          = flag.Int("tau", 500, "task splitting degree threshold (0 = off)")
-		uncompressed = flag.Bool("uncompressed", false, "disable VCBC compression")
-		degreeFilter = flag.Bool("degree-filter", false, "add degree filtering conditions (§IV-A extension)")
-		cliqueCache  = flag.Bool("clique-cache", false, "generalize the triangle cache to pattern cliques (§IV-B extension)")
-		prefetch     = flag.Bool("prefetch", false, "batch-prefetch adjacency: each task window's start vertices, and ENU candidates before enumerating")
-		compact      = flag.Bool("compact", false, "use the compact varint-delta adjacency encoding in cache and fetches")
-		csrPath      = flag.String("csr", "", "serve adjacency from mmap'd CSR file(s) built by benu-store: a single file, or the prefix of <path>.<part> shards")
-		output       = flag.String("output", "", "write results to this file (VCBC stream for compressed plans, text otherwise; decode with benu-decode)")
-		metrics      = flag.Bool("metrics", false, "print the run's metrics snapshot (see docs/METRICS.md)")
-		metricsJSON  = flag.String("metrics-json", "", "write the run's metrics snapshot as JSON to this file")
-		retry        = flag.Int("retry", 2, "fault tolerance: store-call retries and task re-executions per failure (0 = off)")
-		deadline     = flag.Duration("deadline", 0, "per-store-call deadline, e.g. 500ms (0 = none)")
-		verbose      = flag.Bool("v", false, "print the execution plan and per-worker stats")
-	)
-	flag.Parse()
-
-	if err := run(runConfig{
-		pattern: *patternName, graphPath: *graphPath, preset: *presetName,
-		workers: *workers, threads: *threads, cacheRel: *cacheRel, tau: *tau,
-		uncompressed: *uncompressed, degreeFilter: *degreeFilter,
-		cliqueCache: *cliqueCache, output: *output, verbose: *verbose,
-		metrics: *metrics, metricsJSON: *metricsJSON,
-		prefetch: *prefetch, compact: *compact,
-		csr:   *csrPath,
-		retry: *retry, deadline: *deadline,
-	}); err != nil {
+	if err := run(parseFlags(os.Args[1:])); err != nil {
 		fmt.Fprintln(os.Stderr, "benu:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags reads the command line into a runConfig; like flag.Parse it
+// exits on a malformed one.
+func parseFlags(args []string) runConfig {
+	var rc runConfig
+	_ = newFlagSet(&rc).Parse(args) // ExitOnError: Parse exits instead of returning an error
+	return rc
+}
+
+// newFlagSet binds benu's flags to rc: the ones it shares with
+// benu-master through package cli, then its own.
+func newFlagSet(rc *runConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet("benu", flag.ExitOnError)
+	cli.Register(fs, cli.Benu, map[string]any{
+		"pattern": &rc.pattern, "graph": &rc.graphPath, "preset": &rc.preset,
+		"tau": &rc.tau, "retry": &rc.retry, "uncompressed": &rc.uncompressed,
+		"degree-filter": &rc.degreeFilter, "prefetch": &rc.prefetch,
+		"metrics": &rc.metrics, "v": &rc.verbose,
+	})
+	fs.IntVar(&rc.workers, "workers", 4, "simulated worker machines")
+	fs.IntVar(&rc.threads, "threads", 4, "working threads per machine")
+	fs.Float64Var(&rc.cacheRel, "cache", 1.0, "DB cache capacity as a fraction of the data graph size")
+	fs.BoolVar(&rc.cliqueCache, "clique-cache", false, "generalize the triangle cache to pattern cliques (§IV-B extension)")
+	fs.BoolVar(&rc.compact, "compact", false, "use the compact varint-delta adjacency encoding in cache and fetches")
+	fs.StringVar(&rc.csr, "csr", "", "serve adjacency from mmap'd CSR file(s) built by benu-store: a single file, or the prefix of <path>.<part> shards")
+	fs.StringVar(&rc.output, "output", "", "write results to this file (VCBC stream for compressed plans, text otherwise; decode with benu-decode)")
+	fs.StringVar(&rc.metricsJSON, "metrics-json", "", "write the run's metrics snapshot as JSON to this file")
+	fs.DurationVar(&rc.deadline, "deadline", 0, "per-store-call deadline, e.g. 500ms (0 = none)")
+	return fs
 }
 
 // runConfig carries the parsed command-line options.
@@ -102,37 +100,7 @@ type runConfig struct {
 }
 
 func run(rc runConfig) error {
-	p, err := gen.PatternByName(rc.pattern)
-	if err != nil {
-		return err
-	}
-
-	var g *graph.Graph
-	if rc.graphPath != "" {
-		f, err := os.Open(rc.graphPath)
-		if err != nil {
-			return err
-		}
-		g, err = graph.ReadEdgeList(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		preset, err := gen.PresetByName(rc.preset)
-		if err != nil {
-			return err
-		}
-		g = preset.Generate()
-	}
-	fmt.Printf("data graph: N=%d M=%d maxdeg=%d\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
-
-	opts := plan.AllOptions
-	opts.VCBC = !rc.uncompressed
-	opts.DegreeFilter = rc.degreeFilter
-	opts.CliqueCache = rc.cliqueCache
-	st := estimate.NewStats(g, estimate.MaxMomentDefault)
-	best, err := plan.GenerateBestPlan(p, st, opts)
+	g, best, err := cli.Load(rc.pattern, rc.graphPath, rc.preset, rc.uncompressed, rc.degreeFilter, rc.cliqueCache)
 	if err != nil {
 		return err
 	}
@@ -149,6 +117,7 @@ func run(rc runConfig) error {
 	cfg.ThreadsPerWorker = rc.threads
 	cfg.CacheBytes = int64(rc.cacheRel * float64(g.SizeBytes()))
 	cfg.Tau = rc.tau
+	cfg.TaskRetries = rc.retry
 	cfg.Prefetch = rc.prefetch
 	cfg.CompactAdjacency = rc.compact
 
@@ -173,19 +142,7 @@ func run(rc runConfig) error {
 		store = kv.ObserveStore(store, reg)
 	}
 
-	// Fault tolerance: the resilient decorator wraps outermost (so latency
-	// observation below it times each raw attempt), and the cluster gets a
-	// matching task re-execution budget. -retry 0 without -deadline adds
-	// neither: the first fault fails the run.
-	if rc.retry > 0 || rc.deadline > 0 {
-		pol := resilience.DefaultPolicy()
-		if rc.retry > 0 {
-			pol.MaxAttempts = rc.retry + 1
-		}
-		pol.Timeout = rc.deadline
-		store = kv.NewResilient(store, kv.ResilientOptions{Policy: pol, Obs: reg})
-		cfg.TaskRetries = rc.retry
-	}
+	store = resilient(store, rc.retry, rc.deadline, reg)
 
 	var finishOutput func() error
 	if rc.output != "" {
@@ -250,7 +207,7 @@ func run(rc runConfig) error {
 	fmt.Printf("matches: %d", res.Matches)
 	if best.Plan.Compressed {
 		fmt.Printf(" (from %d VCBC codes, %.1fx compression)",
-			res.Codes, float64(res.Matches*int64(p.NumVertices())*8)/float64(max64(res.ResultBytes, 1)))
+			res.Codes, float64(res.Matches*int64(best.Plan.Pattern.NumVertices())*8)/float64(max64(res.ResultBytes, 1)))
 	}
 	fmt.Println()
 	fmt.Printf("time: %s  tasks: %d (%d split)\n", res.Wall.Round(1e6), res.Tasks, res.SplitTasks)
@@ -290,6 +247,21 @@ func run(rc runConfig) error {
 		}
 	}
 	return nil
+}
+
+// resilient is the store-call half of -retry and -deadline (the cluster's
+// task re-execution budget is the other): a resilient decorator wrapping
+// store outermost, so latency observation below it times each raw
+// attempt, with retry+1 attempts per call. -retry 0 without -deadline
+// leaves store bare, and the first fault fails the run.
+func resilient(store kv.Store, retry int, deadline time.Duration, reg *obs.Registry) kv.Store {
+	if retry <= 0 && deadline <= 0 {
+		return store
+	}
+	pol := resilience.DefaultPolicy()
+	pol.MaxAttempts = retry + 1
+	pol.Timeout = deadline
+	return kv.NewResilient(store, kv.ResilientOptions{Policy: pol, Obs: reg})
 }
 
 // coverList returns the cover pattern vertices (ascending) of a

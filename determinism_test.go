@@ -50,7 +50,7 @@ func TestEnumerateDeterministic(t *testing.T) {
 		"split": {Cluster: &ClusterConfig{
 			Workers:          3,
 			ThreadsPerWorker: 2,
-			Tau:              2, // split nearly every task
+			Spec:             ClusterSpec{Tau: 2}, // split nearly every task
 		}},
 	}
 
@@ -110,7 +110,7 @@ func TestEnumerateCodesDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		ord := NewOrder(g)
-		opts := &Options{Cluster: &ClusterConfig{Workers: 2, ThreadsPerWorker: 2, Tau: 2}}
+		opts := &Options{Cluster: &ClusterConfig{Workers: 2, ThreadsPerWorker: 2, Spec: ClusterSpec{Tau: 2}}}
 		var mu sync.Mutex
 		var lines []string
 		_, _, err = EnumerateCodes(p, g, opts, func(c *Code) bool {

@@ -146,7 +146,7 @@ func replicaChaosBackend(t *testing.T, deadReplica int) Backend {
 				Workers:          2,
 				ThreadsPerWorker: 2,
 				CacheBytes:       g.SizeBytes()/2 + 1, // small: evictions force re-reads
-				Tau:              4,
+				Spec:             cluster.Spec{Tau: 4},
 				Obs:              obs.NewRegistry(),
 			}
 			return runCluster(pl, g, ord, store, cfg)

@@ -128,12 +128,11 @@ func Backends(wrap StoreWrap) []Backend {
 			Name: "cluster-split",
 			Run: func(pl *plan.Plan, g *graph.Graph, ord *graph.TotalOrder) (*Outcome, error) {
 				cfg := cluster.Config{
-					Workers:              3,
-					ThreadsPerWorker:     2,
-					CacheBytes:           g.SizeBytes()/2 + 1,
-					Tau:                  4,
-					TriangleCacheEntries: 64,
-					Obs:                  obs.NewRegistry(),
+					Workers:          3,
+					ThreadsPerWorker: 2,
+					CacheBytes:       g.SizeBytes()/2 + 1,
+					Spec:             cluster.Spec{Tau: 4, TriangleCacheEntries: 64},
+					Obs:              obs.NewRegistry(),
 				}
 				return runCluster(pl, g, ord, wrap(kv.NewLocal(g)), cfg)
 			},
@@ -145,9 +144,7 @@ func Backends(wrap StoreWrap) []Backend {
 					Workers:           2,
 					ThreadsPerWorker:  2,
 					CacheBytes:        g.SizeBytes() * 2,
-					Tau:               4,
-					Prefetch:          true,
-					CompactAdjacency:  true,
+					Spec:              cluster.Spec{Tau: 4, Prefetch: true, CompactAdjacency: true},
 					PrefetchBatchSize: 8,
 					Obs:               obs.NewRegistry(),
 				}
@@ -185,8 +182,7 @@ func Backends(wrap StoreWrap) []Backend {
 					Workers:          2,
 					ThreadsPerWorker: 2,
 					CacheBytes:       g.SizeBytes() * 2,
-					Tau:              4,
-					CompactAdjacency: true,
+					Spec:             cluster.Spec{Tau: 4, CompactAdjacency: true},
 					Obs:              obs.NewRegistry(),
 				}
 				return runCluster(pl, g, ord, wrap(kv.NewPartitioned(stores, g.NumVertices())), cfg)
@@ -206,7 +202,7 @@ func Backends(wrap StoreWrap) []Backend {
 					Workers:          2,
 					ThreadsPerWorker: 2,
 					CacheBytes:       g.SizeBytes() * 2,
-					Tau:              4,
+					Spec:             cluster.Spec{Tau: 4},
 					Obs:              obs.NewRegistry(),
 				}
 				return runCluster(pl, g, ord, store, cfg)
@@ -269,7 +265,7 @@ func ResilientBackends(wrap StoreWrap) []Backend {
 					Workers:          2,
 					ThreadsPerWorker: 2,
 					CacheBytes:       g.SizeBytes() * 2,
-					Tau:              4,
+					Spec:             cluster.Spec{Tau: 4},
 					Obs:              obs.NewRegistry(),
 				}
 				return runCluster(pl, g, ord, store, cfg)
@@ -282,8 +278,7 @@ func ResilientBackends(wrap StoreWrap) []Backend {
 					Workers:          2,
 					ThreadsPerWorker: 2,
 					CacheBytes:       g.SizeBytes() * 2,
-					Tau:              4,
-					TaskRetries:      8,
+					Spec:             cluster.Spec{Tau: 4, TaskRetries: 8},
 					Obs:              obs.NewRegistry(),
 				}
 				return runCluster(pl, g, ord, wrap(kv.NewLocal(g)), cfg)
@@ -298,13 +293,11 @@ func ResilientBackends(wrap StoreWrap) []Backend {
 					Obs:            obs.NewRegistry(),
 				})
 				cfg := cluster.Config{
-					Workers:              3,
-					ThreadsPerWorker:     2,
-					CacheBytes:           g.SizeBytes()/2 + 1,
-					Tau:                  4,
-					TriangleCacheEntries: 64,
-					TaskRetries:          8,
-					Obs:                  obs.NewRegistry(),
+					Workers:          3,
+					ThreadsPerWorker: 2,
+					CacheBytes:       g.SizeBytes()/2 + 1,
+					Spec:             cluster.Spec{Tau: 4, TriangleCacheEntries: 64, TaskRetries: 8},
+					Obs:              obs.NewRegistry(),
 				}
 				return runCluster(pl, g, ord, store, cfg)
 			},
@@ -335,7 +328,7 @@ func ResilientBackends(wrap StoreWrap) []Backend {
 					Workers:          2,
 					ThreadsPerWorker: 2,
 					CacheBytes:       g.SizeBytes() * 2,
-					Tau:              4,
+					Spec:             cluster.Spec{Tau: 4},
 					Obs:              obs.NewRegistry(),
 				}
 				return runCluster(pl, g, ord, store, cfg)

@@ -40,27 +40,9 @@ type Config struct {
 	// CacheBytes is the DB cache capacity per machine (30 GB in the
 	// paper). 0 disables caching.
 	CacheBytes int64
-	// Tau is the task-splitting degree threshold τ (500 in the paper).
-	// 0 disables task splitting.
-	Tau int
-	// TriangleCacheEntries bounds each thread's triangle cache
-	// (0 disables it).
-	TriangleCacheEntries int
-	// Prefetch turns on the batched adjacency prefetcher, at both places a
-	// machine knows keys ahead of demand: the start vertices of each
-	// window of PrefetchBatchSize tasks of its queue — and, for plans whose
-	// first enumeration level follows from the start list alone, the
-	// union of those tasks' first-level candidates — are fetched when the
-	// window's first task is popped, and before an enumeration loop whose
-	// candidates will be DB-queried the whole candidate set is handed to
-	// the machine's source — batched store round trips either way. It
-	// fills exec.SourceOptions.Prefetch of each machine's source.
-	Prefetch bool
-	// CompactAdjacency moves each machine's data plane to the compact
-	// varint-delta encoding: batched fetches travel and cache as encoded
-	// bytes, and executors decode into per-instruction scratch. It fills
-	// exec.SourceOptions.Compact of each machine's source.
-	CompactAdjacency bool
+	// Spec holds the job's machine settings: τ, the task retry budget,
+	// the triangle cache, and the data plane.
+	Spec
 	// PrefetchBatchSize caps keys per batched round trip, and is the
 	// length of the start-vertex prefetch window (0 = default 64).
 	PrefetchBatchSize int
@@ -70,13 +52,6 @@ type Config struct {
 	// has lasted this long; Result.TimedOut reports whether it fired
 	// (the analogue of the paper's ">7200s" table entries).
 	Deadline time.Duration
-	// TaskRetries re-executes a failed local search task up to this many
-	// times before the run fails — the paper's MapReduce task
-	// re-execution (§VI). Accounting is exactly-once: a task's match
-	// counts and emissions commit only when an attempt succeeds, so a
-	// retried task can never double-count. 0 disables re-execution
-	// (the first task failure fails the run).
-	TaskRetries int
 	// SequentialWorkers runs the simulated machines one after another
 	// instead of concurrently. Use when measuring per-worker busy time
 	// on a host with fewer cores than simulated machines: each machine's
@@ -101,17 +76,52 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+// Spec holds the settings that shape how every machine of a job runs its
+// tasks, declared once for both runtimes: Config embeds one, and the
+// networked master (internal/cluster/sched) fills one from its
+// MasterConfig and hands it to every worker in its Join reply. Task
+// generation reads Tau, the retry loops TaskRetries, and NewMachine the
+// rest.
+type Spec struct {
+	// Tau is the §V-B task-splitting degree threshold τ (500 in the
+	// paper). 0 disables task splitting.
+	Tau int
+	// TaskRetries re-executes a failed local search task up to this many
+	// times before the run fails — the paper's MapReduce task
+	// re-execution (§VI); in the networked runtime an expired lease
+	// counts against the budget too. Accounting is exactly-once: a
+	// task's match counts and emissions commit only when an attempt
+	// succeeds, so a retried task can never double-count. 0 disables
+	// re-execution (the first task failure fails the run).
+	TaskRetries int
+	// TriangleCacheEntries bounds each executor thread's triangle cache
+	// (0 disables it).
+	TriangleCacheEntries int
+	// Prefetch turns on the batched adjacency prefetcher wherever a
+	// machine knows keys ahead of demand: each task window's start
+	// vertices and, when they follow from those alone, its first-level
+	// candidates (a window is PrefetchBatchSize queued tasks of a
+	// simulated machine, a networked worker's lease batch), and each
+	// DB-queried enumeration loop's candidates. It fills
+	// exec.SourceOptions.Prefetch.
+	Prefetch bool
+	// CompactAdjacency moves the machine's data plane to the compact
+	// varint-delta encoding: batched fetches travel and cache as encoded
+	// bytes, and executors decode into per-instruction scratch. It fills
+	// exec.SourceOptions.Compact.
+	CompactAdjacency bool
+}
+
 // Defaults returns the configuration used by most experiments: 4 machines
 // × 4 threads, a DB cache sized to the whole data graph (the paper's 30 GB
 // cache likewise exceeded most of its data graphs, leaving Exp-3 to sweep
 // smaller capacities explicitly), τ=500, triangle cache on.
 func Defaults(g *graph.Graph) Config {
 	return Config{
-		Workers:              4,
-		ThreadsPerWorker:     4,
-		CacheBytes:           g.SizeBytes() + int64(g.NumVertices())*96,
-		Tau:                  500,
-		TriangleCacheEntries: 1 << 14,
+		Workers:          4,
+		ThreadsPerWorker: 4,
+		CacheBytes:       g.SizeBytes() + int64(g.NumVertices())*96,
+		Spec:             Spec{Tau: 500, TriangleCacheEntries: 1 << 14},
 	}
 }
 
@@ -186,55 +196,66 @@ type taskAttempt struct {
 	tries int
 }
 
-// emitBuffer holds one task attempt's emissions while re-execution is
-// on. A failed attempt may have emitted partial results before its
-// fault; delivering them and then re-running the task would deliver
-// them twice. Buffering until the attempt succeeds makes delivery
+// NewMachine sets up one machine of either runtime: a cached source over
+// store and the executor options its threads share, with the degree and
+// label oracles (nil when the plan needs none). A non-nil ctx bounds the
+// source's store traffic, and a context-binding store (kv.Resilient, or
+// any decorator chain over one) is rebound to it so cancellation also
+// stops its retry loops mid-backoff. Emission callbacks are the caller's
+// to add.
+func NewMachine(ctx context.Context, store kv.Store, cacheBytes int64, spec Spec, reg *obs.Registry, batchSize int,
+	degreeOf func(v int64) int, labelOf func(v int64) int64) (*exec.CachedSource, exec.Options) {
+	if ctx != nil {
+		store = kv.WithContext(store, ctx)
+	}
+	src := exec.NewCachedSourceWith(store, cacheBytes, exec.SourceOptions{
+		Compact:   spec.CompactAdjacency,
+		Prefetch:  spec.Prefetch,
+		BatchSize: batchSize,
+		Obs:       reg,
+		Ctx:       ctx,
+	})
+	return src, exec.Options{
+		TriangleCacheEntries: spec.TriangleCacheEntries,
+		DegreeOf:             degreeOf,
+		LabelOf:              labelOf,
+		Obs:                  reg,
+	}
+}
+
+// Emissions holds one task attempt's emissions until the attempt's fate
+// is known. A failed attempt may have emitted partial results before its
+// fault; delivering them and then re-running the task would deliver them
+// twice. Holding them until the attempt succeeds makes delivery
 // exactly-once at the cost of one copy per result (the executor reuses
 // the emitted slices, so retention requires copying anyway).
-type emitBuffer struct {
+type Emissions struct {
 	matches [][]int64
 	codes   []*vcbc.Code
 }
 
-// install redirects opts' emit callbacks into the buffer (only the ones
-// the user actually set).
-func (b *emitBuffer) install(opts *exec.Options, cfg Config) {
-	if cfg.Emit != nil {
+// Capture points opts' emit callbacks at e: the matches callback when
+// matches is set, the codes callback when codes is.
+func (e *Emissions) Capture(opts *exec.Options, matches, codes bool) {
+	if matches {
 		opts.Emit = func(f []int64) bool {
-			b.matches = append(b.matches, append([]int64(nil), f...))
+			e.matches = append(e.matches, append([]int64(nil), f...))
 			return true
 		}
 	}
-	if cfg.EmitCode != nil {
+	if codes {
 		opts.EmitCode = func(c *vcbc.Code) bool {
-			b.codes = append(b.codes, c.Clone())
+			e.codes = append(e.codes, c.Clone())
 			return true
 		}
 	}
 }
 
-// reset discards a previous attempt's buffered results.
-func (b *emitBuffer) reset() {
-	b.matches = b.matches[:0]
-	b.codes = b.codes[:0]
-}
-
-// flush delivers a successful attempt's results to the user callbacks.
-// A callback returning false stops delivery (its contract is "stop the
-// current task early"; the task is already complete, so the remainder
-// of the buffer is simply dropped).
-func (b *emitBuffer) flush(cfg Config) {
-	for _, m := range b.matches {
-		if !cfg.Emit(m) {
-			break
-		}
-	}
-	for _, c := range b.codes {
-		if !cfg.EmitCode(c) {
-			break
-		}
-	}
+// Take hands over the attempt's emissions and empties e for the next.
+func (e *Emissions) Take() ([][]int64, []*vcbc.Code) {
+	m, c := e.matches, e.codes
+	e.matches, e.codes = nil, nil
+	return m, c
 }
 
 // RunContext is Run bounded by ctx: cancellation stops task dispatch on
@@ -260,7 +281,7 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 	if pl.Pattern.Labeled() && cfg.LabelOf == nil {
 		return nil, fmt.Errorf("cluster: labeled pattern %q requires Config.LabelOf", pl.Pattern.Name())
 	}
-	tasks, splitCount := generateTasks(pl, prog, n, degree, cfg.Tau, cfg.LabelOf)
+	tasks, splitCount := GenerateTasks(pl, prog, n, degree, cfg.Tau, cfg.LabelOf)
 
 	// Shuffle tasks evenly to workers (round-robin, like the paper's
 	// even shuffle of map output to reducers).
@@ -317,18 +338,8 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 	runWorker := func(w int) {
 		{
 			// One machine: a shared cached source and a work queue
-			// drained by ThreadsPerWorker threads. A context-binding
-			// store (kv.Resilient, or any decorator chain over one) is
-			// rebound to the run's context so cancellation also stops
-			// its retry loops mid-backoff.
-			mstore := kv.WithContext(store, runCtx)
-			src := exec.NewCachedSourceWith(mstore, cfg.CacheBytes, exec.SourceOptions{
-				Compact:   cfg.CompactAdjacency,
-				Prefetch:  cfg.Prefetch,
-				BatchSize: cfg.PrefetchBatchSize,
-				Obs:       reg,
-				Ctx:       runCtx,
-			})
+			// drained by ThreadsPerWorker threads.
+			src, eopts := NewMachine(runCtx, store, cfg.CacheBytes, cfg.Spec, reg, cfg.PrefetchBatchSize, degreeOf, cfg.LabelOf)
 			queue := queues[w]
 			window := src.BatchSize() // the task window, in tasks
 			var next int
@@ -393,21 +404,15 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 				tw.Add(1)
 				go func() {
 					defer tw.Done()
-					eopts := exec.Options{
-						Emit:                 cfg.Emit,
-						EmitCode:             cfg.EmitCode,
-						TriangleCacheEntries: cfg.TriangleCacheEntries,
-						Obs:                  reg,
-					}
-					eopts.DegreeOf = degreeOf
-					eopts.LabelOf = cfg.LabelOf
-					// Under re-execution, emissions buffer per task and
-					// reach the user's callbacks only when the attempt
-					// succeeds — a failed attempt's partial results
-					// vanish with it, so a retry cannot double-deliver.
-					var ebuf emitBuffer
+					eopts := eopts
+					eopts.Emit, eopts.EmitCode = cfg.Emit, cfg.EmitCode
+					// Under re-execution, emissions are held per attempt and
+					// reach the user's callbacks only when it succeeds — a
+					// failed attempt's partial results vanish with it, so a
+					// retry cannot double-deliver.
+					var held Emissions
 					if retrying {
-						ebuf.install(&eopts, cfg)
+						held.Capture(&eopts, cfg.Emit != nil, cfg.EmitCode != nil)
 					}
 					// committed accumulates only successful attempts'
 					// stats deltas; failed attempts' partial work never
@@ -419,10 +424,10 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 						if !ok {
 							break
 						}
-						ebuf.reset()
 						sp := reg.StartSpan("cluster.task")
 						delta, err := e.Run(ta.t)
 						d := sp.End()
+						matches, codes := held.Take()
 						if err != nil {
 							if runCtx.Err() != nil {
 								// Cancellation surfacing through the
@@ -448,7 +453,19 @@ func RunContext(ctx context.Context, pl *plan.Plan, store kv.Store, ord *graph.T
 							break
 						}
 						committed.Add(delta)
-						ebuf.flush(cfg)
+						// A callback returning false stops delivery: its
+						// contract is "stop the current task early", and the
+						// task is already complete.
+						for _, m := range matches {
+							if !cfg.Emit(m) {
+								break
+							}
+						}
+						for _, c := range codes {
+							if !cfg.EmitCode(c) {
+								break
+							}
+						}
 						busy[th] += d
 						taskCount[th]++
 						if cfg.CollectTaskTimes {
@@ -580,20 +597,13 @@ func PublishMachines(reg *obs.Registry, machines []WorkerStats) {
 	reg.Gauge("cache.entries").Set(float64(entries))
 }
 
-// GenerateTasks exposes §V-B task generation to the networked control
-// plane (internal/cluster/sched): the same candidate filtering and
-// τ-splitting the simulated cluster applies, so the two deployments
-// enumerate identical task sets. Returns the tasks and how many of them
-// are split subtasks.
-func GenerateTasks(pl *plan.Plan, prog *exec.Program, n int, degree func(v int64) int, tau int, labelOf func(v int64) int64) ([]exec.Task, int) {
-	return generateTasks(pl, prog, n, degree, tau, labelOf)
-}
-
-// generateTasks produces one local search task per data vertex, splitting
+// GenerateTasks produces one local search task per data vertex, splitting
 // heavy start vertices per §V-B: a vertex with degree ≥ τ yields
 // ⌈d/τ⌉ subtasks when the second matching-order vertex anchors on the
-// start's adjacency, or ⌈N/τ⌉ when its candidate set is V(G).
-func generateTasks(pl *plan.Plan, prog *exec.Program, n int, degree func(v int64) int, tau int, labelOf func(v int64) int64) ([]exec.Task, int) {
+// start's adjacency, or ⌈N/τ⌉ when its candidate set is V(G). Both
+// runtimes generate their tasks with it, so they enumerate identical
+// task sets. Returns the tasks and how many of them are split subtasks.
+func GenerateTasks(pl *plan.Plan, prog *exec.Program, n int, degree func(v int64) int, tau int, labelOf func(v int64) int64) ([]exec.Task, int) {
 	var tasks []exec.Task
 	split := 0
 	canSplit := tau > 0 && prog.SupportsSplitting() && degree != nil

@@ -46,8 +46,7 @@ func prefetchConfig(threads int, cacheBytes int64) Config {
 		Workers:          1,
 		ThreadsPerWorker: threads,
 		CacheBytes:       cacheBytes,
-		Prefetch:         true,
-		CompactAdjacency: true,
+		Spec:             Spec{Prefetch: true, CompactAdjacency: true},
 		Obs:              obs.NewRegistry(),
 	}
 }

@@ -35,13 +35,15 @@ type MasterConfig struct {
 	// LabelOf supplies data-vertex labels; required for labeled
 	// patterns.
 	LabelOf func(v int64) int64
-	// Tau is the §V-B task-splitting threshold (0 disables).
-	Tau int
-	// TaskRetries is the re-execution budget per task — failed attempts
-	// and expired leases both count against it. 0 disables re-execution
-	// (the first lost or failed task fails the run), matching
-	// cluster.Config.TaskRetries.
-	TaskRetries int
+	// Tau, TaskRetries, TriangleCacheEntries, Prefetch and
+	// CompactAdjacency are the job's machine settings, documented on
+	// cluster.Spec. The master splits tasks by Tau and re-queues them
+	// under TaskRetries, and hands the whole Spec to every worker.
+	Tau                  int
+	TaskRetries          int
+	TriangleCacheEntries int
+	Prefetch             bool
+	CompactAdjacency     bool
 	// LeaseDuration is how long heartbeat silence is tolerated before a
 	// worker's leases start expiring. Default 3s.
 	LeaseDuration time.Duration
@@ -74,15 +76,16 @@ type MasterConfig struct {
 	// callback (it was decoded fresh from the wire).
 	Emit     func(f []int64) bool
 	EmitCode func(c *vcbc.Code) bool
-	// Worker execution settings, propagated via JoinReply. Prefetch and
-	// CompactAdjacency fill each worker's exec.SourceOptions.
-	CompactAdjacency     bool
-	Prefetch             bool
-	TriangleCacheEntries int
 	// Obs selects the metrics registry (sched.* names, plus the
 	// cluster.tasks.retried/failed re-execution counters). nil means
 	// obs.Default().
 	Obs *obs.Registry
+}
+
+// spec is the one place the machine settings are read out of c.
+func (c *MasterConfig) spec() cluster.Spec {
+	return cluster.Spec{Tau: c.Tau, TaskRetries: c.TaskRetries, TriangleCacheEntries: c.TriangleCacheEntries,
+		Prefetch: c.Prefetch, CompactAdjacency: c.CompactAdjacency}
 }
 
 func (c *MasterConfig) withDefaults() {
@@ -191,6 +194,7 @@ const fenceAfterSilentScans = 2
 // Master owns the task queue and serves it over TCP.
 type Master struct {
 	cfg       MasterConfig
+	spec      cluster.Spec
 	planBytes []byte
 	ranks     []int64
 	degrees   []int32
@@ -283,7 +287,8 @@ func ServeMaster(ln net.Listener, cfg MasterConfig) (m *Master, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: encode plan: %w", err)
 	}
-	tasks, splitCount := cluster.GenerateTasks(cfg.Plan, prog, cfg.NumVertices, cfg.Degree, cfg.Tau, cfg.LabelOf)
+	spec := cfg.spec()
+	tasks, splitCount := cluster.GenerateTasks(cfg.Plan, prog, cfg.NumVertices, cfg.Degree, spec.Tau, cfg.LabelOf)
 
 	reg := cfg.Obs
 	if reg == nil {
@@ -291,6 +296,7 @@ func ServeMaster(ln net.Listener, cfg MasterConfig) (m *Master, err error) {
 	}
 	m = &Master{
 		cfg:           cfg,
+		spec:          spec,
 		planBytes:     planBytes,
 		ranks:         cfg.Ord.Ranks(),
 		quit:          make(chan struct{}),
@@ -378,7 +384,7 @@ func (m *Master) openJournal() error {
 	spec := &journal.JobSpec{
 		Plan:        m.planBytes,
 		NumVertices: m.cfg.NumVertices,
-		Tau:         m.cfg.Tau,
+		Tau:         m.spec.Tau,
 		Tasks:       len(m.tasks),
 		RanksHash:   journal.HashRanks(m.ranks),
 	}
@@ -653,7 +659,7 @@ func (m *Master) requeueLocked(idx int, cause error) {
 		return
 	}
 	ts.attempts++
-	if ts.attempts > m.cfg.TaskRetries {
+	if ts.attempts > m.spec.TaskRetries {
 		m.res.TasksFailed++
 		m.failedC.Inc()
 		m.finishLocked(fmt.Errorf("sched: task start=%d failed after %d attempts: %w",
@@ -722,9 +728,7 @@ func (s *schedService) Join(args *JoinArgs, reply *JoinReply) error {
 	reply.LeaseBatch = m.cfg.LeaseBatch
 	reply.WantMatches = m.cfg.Emit != nil
 	reply.WantCodes = m.cfg.EmitCode != nil
-	reply.CompactAdjacency = m.cfg.CompactAdjacency
-	reply.Prefetch = m.cfg.Prefetch
-	reply.TriangleCacheEntries = m.cfg.TriangleCacheEntries
+	reply.Spec = m.spec
 	return nil
 }
 

@@ -37,7 +37,7 @@
 //     acknowledged — the outbox of a killed worker — is healed by lease
 //     expiry exactly as a task lost mid-execution is.
 //   - A failed attempt (a worker-side executor or store error) is
-//     re-queued until Config.TaskRetries is exhausted, then fails the
+//     re-queued until MasterConfig.TaskRetries is exhausted, then fails the
 //     run loudly.
 //   - The master itself can crash and restart: with a journal
 //     (MasterConfig.JournalPath, package journal) every report's
@@ -65,6 +65,7 @@ package sched
 import (
 	"time"
 
+	"benu/internal/cluster"
 	"benu/internal/exec"
 	"benu/internal/vcbc"
 )
@@ -124,12 +125,10 @@ type JoinReply struct {
 	// a consumer; counts always travel in Stats).
 	WantMatches bool
 	WantCodes   bool
-	// Execution settings, applied uniformly across workers so results
-	// and costs are comparable. CompactAdjacency and Prefetch configure
-	// the worker's exec.CachedSource; its executors follow from it.
-	CompactAdjacency     bool
-	Prefetch             bool
-	TriangleCacheEntries int
+	// Spec is the job's machine settings, applied uniformly across
+	// workers so results and costs are comparable: each worker sets up
+	// its machine from it (cluster.NewMachine).
+	Spec cluster.Spec
 }
 
 // WireTask is one leased task.

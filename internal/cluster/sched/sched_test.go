@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"benu/internal/cluster"
 	"benu/internal/estimate"
 	"benu/internal/exec"
 	"benu/internal/gen"
@@ -785,5 +786,52 @@ func TestWorkerPublishesCacheAndWireSeries(t *testing.T) {
 	}
 	if got, want := wreg.Counter("cluster.db.queries").Value(), wreg.Counter("cache.misses").Value(); got > want {
 		t.Errorf("cluster.db.queries = %d exceeds cache.misses = %d", got, want)
+	}
+}
+
+// TestWorkerTakesTriangleCacheFromSpec: a worker sizes its executors'
+// triangle caches from the Spec in the master's Join reply. On a plan
+// with a TRC instruction, a master with TriangleCacheEntries 0 leaves
+// the workers' exec.tricache.hits and misses at 0, and the simulated
+// cluster's default size makes both non-zero.
+func TestWorkerTakesTriangleCacheFromSpec(t *testing.T) {
+	g := testGraph()
+	pl := bestPlan(t, gen.Q(6), g, plan.OptimizedUncompressed)
+	trc := false
+	for _, in := range pl.Instrs {
+		trc = trc || in.Op == plan.OpTRC
+	}
+	if !trc {
+		t.Fatal("plan has no TRC instruction: the triangle cache is never consulted")
+	}
+	want := graph.RefCount(gen.Q(6), g, graph.NewTotalOrder(g))
+	for _, entries := range []int{0, cluster.Defaults(g).TriangleCacheEntries} {
+		cfg := masterFor(t, pl, g, obs.NewRegistry())
+		cfg.TriangleCacheEntries = entries
+		m, err := StartMaster("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wreg := obs.NewRegistry()
+		w, err := StartWorker(m.Addr(), WorkerConfig{Threads: 2, Store: kv.NewLocal(g), Obs: wreg})
+		if err != nil {
+			m.Close()
+			t.Fatal(err)
+		}
+		res := waitResult(t, m)
+		if err := w.Wait(); err != nil {
+			t.Errorf("entries %d: worker exit: %v", entries, err)
+		}
+		m.Close()
+		if res.Matches != want {
+			t.Errorf("entries %d: matches = %d, want %d", entries, res.Matches, want)
+		}
+		hits, misses := wreg.Counter("exec.tricache.hits").Value(), wreg.Counter("exec.tricache.misses").Value()
+		if entries == 0 && (hits != 0 || misses != 0) {
+			t.Errorf("TriangleCacheEntries 0: exec.tricache.hits=%d misses=%d, want both 0", hits, misses)
+		}
+		if entries > 0 && (hits == 0 || misses == 0) {
+			t.Errorf("TriangleCacheEntries %d: exec.tricache.hits=%d misses=%d, want both non-zero", entries, hits, misses)
+		}
 	}
 }

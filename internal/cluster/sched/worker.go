@@ -17,7 +17,6 @@ import (
 	"benu/internal/obs"
 	"benu/internal/plan"
 	"benu/internal/resilience"
-	"benu/internal/vcbc"
 )
 
 // WorkerConfig parameterizes one worker machine.
@@ -98,7 +97,8 @@ type Worker struct {
 	dropStaleC  *obs.Counter
 
 	src       *exec.CachedSource
-	dialed    *kv.Client // non-nil when we own the store connection
+	eopts     exec.Options // what every executor of this machine shares
+	dialed    *kv.Client   // non-nil when we own the store connection
 	heartbeat time.Duration
 	threads   int
 	// leaseCap is the most tasks ever queued locally: the master's
@@ -158,7 +158,7 @@ const (
 )
 
 // StartWorker dials the master at addr, joins, and starts executing.
-func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
+func StartWorker(addr string, cfg WorkerConfig) (_ *Worker, err error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 2
 	}
@@ -171,51 +171,60 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("sched: dial master %s: %w", addr, err)
 	}
 	client := rpc.NewClient(conn)
+	defer func() {
+		if err != nil {
+			client.Close()
+		}
+	}()
 	var join JoinReply
 	args := JoinArgs{Name: cfg.Name, StoreParts: cfg.StoreParts, StoreNumParts: cfg.StoreNumParts}
 	if err := client.Call("Sched.Join", &args, &join); err != nil {
-		client.Close()
 		return nil, fmt.Errorf("sched: join: %w", err)
 	}
 	pl, err := plan.UnmarshalPlan(join.Plan)
 	if err != nil {
-		client.Close()
 		return nil, err
 	}
 	prog, err := exec.Compile(pl)
 	if err != nil {
-		client.Close()
 		return nil, err
 	}
 	ord, err := graph.OrderFromRanks(join.Ranks)
 	if err != nil {
-		client.Close()
 		return nil, err
 	}
-	if ord.Len() != join.NumVertices {
-		client.Close()
+	switch {
+	case ord.Len() != join.NumVertices:
 		return nil, fmt.Errorf("sched: join sent %d ranks for %d vertices", ord.Len(), join.NumVertices)
+	case len(join.Degrees) != 0 && len(join.Degrees) != join.NumVertices:
+		return nil, fmt.Errorf("sched: join sent %d degrees for %d vertices", len(join.Degrees), join.NumVertices)
+	case pl.Pattern.Labeled() && len(join.Labels) != join.NumVertices:
+		return nil, fmt.Errorf("sched: labeled plan but join sent %d labels for %d vertices", len(join.Labels), join.NumVertices)
 	}
 
 	store := cfg.Store
 	var dialed *kv.Client
 	if store == nil {
 		if len(join.StoreAddrs) == 0 {
-			client.Close()
 			return nil, fmt.Errorf("sched: no WorkerConfig.Store and the master names no storage nodes")
 		}
 		dialed, err = kv.Dial(join.StoreAddrs, join.NumVertices)
 		if err != nil {
-			client.Close()
 			return nil, err
 		}
 		store = dialed
 	}
-	src := exec.NewCachedSourceWith(store, cfg.CacheBytes, exec.SourceOptions{
-		Compact:  join.CompactAdjacency,
-		Prefetch: join.Prefetch,
-		Obs:      reg,
-	})
+	// The machine's settings come from the master's Spec alone, and the
+	// oracles from the arrays it sends only when the plan needs them.
+	var degreeOf func(v int64) int
+	if degrees := join.Degrees; len(degrees) > 0 {
+		degreeOf = func(v int64) int { return int(degrees[v]) }
+	}
+	var labelOf func(v int64) int64
+	if labels := join.Labels; len(labels) > 0 {
+		labelOf = func(v int64) int64 { return labels[v] }
+	}
+	src, eopts := cluster.NewMachine(nil, store, cfg.CacheBytes, join.Spec, reg, 0, degreeOf, labelOf)
 
 	w := &Worker{
 		name:       cfg.Name,
@@ -226,6 +235,7 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 		rejoinsC:   reg.Counter("sched.worker.rejoins"),
 		dropStaleC: reg.Counter("sched.worker.dropped_stale"),
 		src:        src,
+		eopts:      eopts,
 		dialed:     dialed,
 		heartbeat:  join.HeartbeatEvery,
 		threads:    cfg.Threads,
@@ -251,15 +261,7 @@ func StartWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 	if cfg.Retry != nil {
 		w.retrier = resilience.NewRetrier(*cfg.Retry, reg)
 	}
-	if len(join.Degrees) != 0 && len(join.Degrees) != join.NumVertices {
-		client.Close()
-		return nil, fmt.Errorf("sched: join sent %d degrees for %d vertices", len(join.Degrees), join.NumVertices)
-	}
-	if pl.Pattern.Labeled() && len(join.Labels) != join.NumVertices {
-		client.Close()
-		return nil, fmt.Errorf("sched: labeled plan but join sent %d labels for %d vertices", len(join.Labels), join.NumVertices)
-	}
-	go w.run(prog, pl, ord, join)
+	go w.run(prog, ord, join)
 	return w, nil
 }
 
@@ -536,7 +538,7 @@ func callSched[R any](w *Worker, method string, mk func(id int, epoch uint64) an
 // run is the worker body: a dispatcher leasing into taskCh, Threads
 // executor goroutines draining it into the outbox, the reporter
 // shipping the outbox, and a heartbeat ticker.
-func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, join JoinReply) {
+func (w *Worker) run(prog *exec.Program, ord *graph.TotalOrder, join JoinReply) {
 	defer close(w.done)
 	// Buffered to the lease cap: the dispatcher leases ahead of the
 	// threads so none of them sits out a Lease round trip, and it never
@@ -548,7 +550,7 @@ func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, j
 		tg.Add(1)
 		go func() {
 			defer tg.Done()
-			w.threadLoop(prog, pl, ord, join, taskCh)
+			w.threadLoop(prog, ord, join, taskCh)
 		}()
 	}
 
@@ -568,7 +570,7 @@ func (w *Worker) run(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, j
 
 	// The dispatcher has an executor of its own. It runs no task: between
 	// Lease calls it computes each lease window's first-level frontier.
-	opts := w.execOptions(pl, join)
+	opts := w.eopts
 	opts.TriangleCacheEntries = 0
 	w.dispatchLoop(taskCh, exec.NewExecutor(prog, w.src, join.NumVertices, ord, opts))
 	close(taskCh)
@@ -729,42 +731,12 @@ func (w *Worker) dispatchLoop(taskCh chan<- leasedTask, frontier *exec.Executor)
 	}
 }
 
-// execOptions is what every executor of this worker shares: the degree
-// and label oracles of the Join reply. The data plane comes from w.src.
-func (w *Worker) execOptions(pl *plan.Plan, join JoinReply) exec.Options {
-	eopts := exec.Options{
-		TriangleCacheEntries: join.TriangleCacheEntries,
-		Obs:                  w.reg,
-	}
-	if pl.DegreeFiltered && len(join.Degrees) > 0 {
-		degrees := join.Degrees
-		eopts.DegreeOf = func(v int64) int { return int(degrees[v]) }
-	}
-	if pl.Pattern.Labeled() {
-		labels := join.Labels
-		eopts.LabelOf = func(v int64) int64 { return labels[v] }
-	}
-	return eopts
-}
-
 // threadLoop is one executor thread: run each task, buffer its
 // emissions, hand the finished attempt to the outbox, start the next.
-func (w *Worker) threadLoop(prog *exec.Program, pl *plan.Plan, ord *graph.TotalOrder, join JoinReply, taskCh <-chan leasedTask) {
-	var matches [][]int64
-	var codes []*vcbc.Code
-	eopts := w.execOptions(pl, join)
-	if join.WantMatches && !pl.Compressed {
-		eopts.Emit = func(f []int64) bool {
-			matches = append(matches, append([]int64(nil), f...))
-			return true
-		}
-	}
-	if join.WantCodes && pl.Compressed {
-		eopts.EmitCode = func(c *vcbc.Code) bool {
-			codes = append(codes, c.Clone())
-			return true
-		}
-	}
+func (w *Worker) threadLoop(prog *exec.Program, ord *graph.TotalOrder, join JoinReply, taskCh <-chan leasedTask) {
+	eopts := w.eopts
+	var held cluster.Emissions
+	held.Capture(&eopts, join.WantMatches, join.WantCodes)
 	e := exec.NewExecutor(prog, w.src, join.NumVertices, ord, eopts)
 
 	for wt := range taskCh {
@@ -774,6 +746,7 @@ func (w *Worker) threadLoop(prog *exec.Program, pl *plan.Plan, ord *graph.TotalO
 		sp := w.reg.StartSpan("cluster.task")
 		stats, err := e.Run(wt.Task)
 		d := sp.End()
+		matches, codes := held.Take() // the attempt owns them now
 		if w.stopped() && w.isKilled() {
 			return // crashed: report nothing, let the lease expire
 		}
@@ -783,7 +756,6 @@ func (w *Worker) threadLoop(prog *exec.Program, pl *plan.Plan, ord *graph.TotalO
 		} else {
 			a.Stats, a.Matches, a.Codes = stats, matches, codes
 		}
-		matches, codes = nil, nil // the attempt owns them now
 		w.enqueue(a)
 	}
 }

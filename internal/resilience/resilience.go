@@ -5,8 +5,9 @@
 // has to supply the same substrate guarantees itself:
 //
 //   - Retrier: bounded retries with exponential backoff and
-//     deterministic-seedable jitter, a retryable-error classification
-//     hook, and an optional per-attempt deadline. Do respects context
+//     deterministic-seedable jitter, and an optional per-attempt
+//     deadline. Every error is retried except context errors and those
+//     marked Permanent (DefaultRetryable). Do respects context
 //     cancellation between attempts and while backing off.
 //   - Breaker (breaker.go): a per-backend circuit breaker with the
 //     classic closed → open → half-open state machine, so a dead backend
@@ -56,8 +57,6 @@ type Policy struct {
 	// its own timeout counts as retryable (the next attempt may be
 	// faster); expiry of the caller's context never is. 0 disables.
 	Timeout time.Duration
-	// Retryable classifies errors; nil means DefaultRetryable.
-	Retryable func(error) bool
 }
 
 // DefaultPolicy returns the policy production callers start from:
@@ -196,7 +195,7 @@ func (r *Retrier) Do(ctx context.Context, op func(context.Context) error) error 
 		if attemptTimedOut {
 			r.timeouts.Inc()
 		}
-		if !attemptTimedOut && !r.classify(err) {
+		if !attemptTimedOut && !DefaultRetryable(err) {
 			return err
 		}
 		if attempt >= r.p.MaxAttempts {
@@ -208,13 +207,6 @@ func (r *Retrier) Do(ctx context.Context, op func(context.Context) error) error 
 			return serr
 		}
 	}
-}
-
-func (r *Retrier) classify(err error) bool {
-	if r.p.Retryable != nil {
-		return r.p.Retryable(err)
-	}
-	return DefaultRetryable(err)
 }
 
 // backoff computes the delay after the attempt-th failure:

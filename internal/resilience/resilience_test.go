@@ -89,19 +89,6 @@ func TestDoStopsOnPermanentError(t *testing.T) {
 	}
 }
 
-func TestDoCustomClassifier(t *testing.T) {
-	p := fastPolicy()
-	p.Retryable = func(err error) bool { return false }
-	r := NewRetrier(p, obs.NewRegistry())
-	calls := 0
-	if err := r.Do(context.Background(), func(context.Context) error { calls++; return errBoom }); err == nil {
-		t.Fatal("expected error")
-	}
-	if calls != 1 {
-		t.Errorf("classifier ignored: %d calls", calls)
-	}
-}
-
 func TestDoCancelledContextReturnsImmediately(t *testing.T) {
 	r := NewRetrier(fastPolicy(), obs.NewRegistry())
 	ctx, cancel := context.WithCancel(context.Background())
