@@ -4,7 +4,9 @@
 // Counting and expansion need the total order ≺ on the data graph (the
 // free-vertex constraints compare under it), so the same graph must be
 // supplied: either the preset name or the edge-list file used for the
-// enumeration.
+// enumeration. The stream holds the input graph's ids, so it is decoded
+// under that graph's order, whose ranks are the relabel map the loader
+// computes.
 //
 // Usage:
 //
@@ -21,7 +23,6 @@ import (
 	"os"
 
 	"benu/cmd/internal/cli"
-	"benu/internal/graph"
 	"benu/internal/vcbc"
 )
 
@@ -51,7 +52,7 @@ func run(inPath, presetName, graphPath string, expand bool, limit int64, out io.
 	if err != nil {
 		return err
 	}
-	ord := graph.NewTotalOrder(g)
+	ord := g.InputOrder()
 
 	f, err := os.Open(inPath)
 	if err != nil {

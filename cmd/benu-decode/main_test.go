@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -80,6 +82,10 @@ func TestDecodeCount(t *testing.T) {
 	}
 }
 
+// TestDecodeExpand: a stream in the input graph's ids, as benu wrote it
+// before graphs were relabelled on load, expands to exactly
+// graph.RefEnumerate's embeddings: the loader relabels, and decoding
+// runs under the input graph's order (Graph.InputOrder).
 func TestDecodeExpand(t *testing.T) {
 	path, want := writeStream(t)
 	var out bytes.Buffer
@@ -90,6 +96,18 @@ func TestDecodeExpand(t *testing.T) {
 	// Last line is the footer; the rest are matches.
 	if int64(len(lines)-1) != want {
 		t.Errorf("expanded %d matches, want %d", len(lines)-1, want)
+	}
+	g := gen.PresetByNameMust("as").Cached()
+	var ref []string
+	graph.RefEnumerate(gen.Q(4), g, graph.NewTotalOrder(g), func(f []int64) bool {
+		ref = append(ref, strings.Trim(fmt.Sprint(f), "[]"))
+		return true
+	})
+	got := lines[:len(lines)-1]
+	sort.Strings(got)
+	sort.Strings(ref)
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("expanded matches differ from graph.RefEnumerate's (%d vs %d lines)", len(got), len(ref))
 	}
 }
 

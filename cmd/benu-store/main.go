@@ -9,9 +9,11 @@
 //	benu-store info g.csr.0
 //
 // `build` converts an edge-list graph (or a synthetic preset) into one
-// CSR file per hash partition; `info` validates a file and prints its
-// header. The files plug into the enumerator through kv.OpenDisk — see
-// docs/STORAGE.md for the deployment shapes.
+// CSR file per hash partition, in the id space every binary shares: the
+// graph relabelled by ≺ (cmd/internal/cli), flagged degree-ordered in the
+// header. `info` validates a file and prints its header. The files plug
+// into the enumerator through kv.OpenDisk — see docs/STORAGE.md for the
+// deployment shapes.
 package main
 
 import (
@@ -100,8 +102,8 @@ func info(args []string) error {
 			return err
 		}
 		part, parts := f.Partition()
-		fmt.Printf("%s: valid, partition %d/%d, %d of %d vertices, %d bytes\n",
-			path, part, parts, f.NumListed(), f.NumVertices(), f.SizeBytes())
+		fmt.Printf("%s: valid, partition %d/%d, %d of %d vertices, %d bytes, degree-ordered=%v\n",
+			path, part, parts, f.NumListed(), f.NumVertices(), f.SizeBytes(), f.DegreeOrdered())
 		f.Close()
 	}
 	return nil

@@ -58,6 +58,9 @@ func TestBuildThenInfo(t *testing.T) {
 				t.Errorf("%s: partition %d/%d of %d vertices, want %d/%d of %d",
 					path, part, parts, c.NumVertices(), i, tc.parts, tc.vertices)
 			}
+			if !c.DegreeOrdered() {
+				t.Errorf("%s: not flagged degree-ordered; build relabels every graph by ≺", path)
+			}
 			c.Close()
 		}
 	}

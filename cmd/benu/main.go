@@ -20,10 +20,13 @@
 //
 // -output streams the results to a file: a VCBC-compressed stream for
 // compressed plans (count or expand it with benu-decode), plain
-// space-separated matches otherwise. -metrics prints the observability
-// snapshot of the run — every counter, gauge, and histogram the runtime
-// collected (see docs/METRICS.md); -metrics-json writes the same
-// snapshot as JSON to a file.
+// space-separated matches otherwise. The run works on the graph
+// relabelled by ≺ (see cmd/internal/cli), and the file reports the ids
+// of the input graph. -csr takes only files benu-store built in that id
+// space. -metrics prints the observability snapshot of the run — every
+// counter, gauge, and histogram the runtime collected (see
+// docs/METRICS.md); -metrics-json writes the same snapshot as JSON to a
+// file.
 package main
 
 import (
@@ -31,11 +34,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"benu/cmd/internal/cli"
 	"benu/internal/cluster"
+	"benu/internal/csr"
 	"benu/internal/graph"
 	"benu/internal/kv"
 	"benu/internal/obs"
@@ -111,7 +116,7 @@ func run(rc runConfig) error {
 		fmt.Println(best.Plan)
 	}
 
-	ord := graph.NewTotalOrder(g)
+	ord := graph.NewTotalOrder(g) // the identity: g is relabelled by ≺
 	cfg := cluster.Defaults(g)
 	cfg.Workers = rc.workers
 	cfg.ThreadsPerWorker = rc.threads
@@ -157,10 +162,12 @@ func run(rc runConfig) error {
 				f.Close()
 				return err
 			}
+			var in vcbc.Code
 			cfg.EmitCode = func(c *vcbc.Code) bool {
 				mu.Lock()
 				defer mu.Unlock()
-				return sw.Write(c) == nil
+				inputCode(&in, c, g)
+				return sw.Write(&in) == nil
 			}
 			finishOutput = func() error {
 				if err := sw.Flush(); err != nil {
@@ -178,7 +185,7 @@ func run(rc runConfig) error {
 					if i > 0 {
 						fmt.Fprint(bw, " ")
 					}
-					fmt.Fprint(bw, v)
+					fmt.Fprint(bw, g.InputID(v))
 				}
 				fmt.Fprintln(bw)
 				return true
@@ -264,6 +271,28 @@ func resilient(store kv.Store, retry int, deadline time.Duration, reg *obs.Regis
 	return kv.NewResilient(store, kv.ResilientOptions{Policy: pol, Obs: reg})
 }
 
+// inputCode sets dst to c in the ids of the graph g was relabelled from,
+// each image set sorted again. dst's slices are reused across calls.
+func inputCode(dst, c *vcbc.Code, g *graph.Graph) {
+	dst.CoverVertices, dst.FreeVertices = c.CoverVertices, c.FreeVertices
+	dst.Helve = dst.Helve[:0]
+	for _, v := range c.Helve {
+		dst.Helve = append(dst.Helve, g.InputID(v))
+	}
+	for len(dst.Images) < len(c.Images) {
+		dst.Images = append(dst.Images, nil)
+	}
+	dst.Images = dst.Images[:len(c.Images)]
+	for i, img := range c.Images {
+		out := dst.Images[i][:0]
+		for _, v := range img {
+			out = append(out, g.InputID(v))
+		}
+		slices.Sort(out)
+		dst.Images[i] = out
+	}
+}
+
 // coverList returns the cover pattern vertices (ascending) of a
 // compressed plan.
 func coverList(pl *plan.Plan) []int {
@@ -283,10 +312,19 @@ func coverList(pl *plan.Plan) []int {
 // openDiskStore opens the CSR file(s) written by `benu-store build` at
 // path and composes them into one Store: a single whole-graph file
 // serves directly, per-partition shards (<path>.0 … <path>.P-1)
-// compose through the partition router. The returned closer releases
-// every mapping; call it only after the run is drained.
+// compose through the partition router. Every file must be flagged
+// degree-ordered (csr.ErrNotDegreeOrdered otherwise): the run's ids are
+// the relabelled ones. The returned closer releases every mapping; call
+// it only after the run is drained.
 func openDiskStore(path string, n int, reg *obs.Registry) (kv.Store, func(), error) {
-	open := func(p string) (*kv.Disk, error) { return kv.OpenDisk(p, reg) }
+	open := func(p string) (*kv.Disk, error) {
+		d, err := kv.OpenDisk(p, reg)
+		if err == nil && !d.DegreeOrdered() {
+			d.Close()
+			return nil, fmt.Errorf("%s: %w", p, csr.ErrNotDegreeOrdered)
+		}
+		return d, err
+	}
 	if _, err := os.Stat(path); err == nil {
 		d, err := open(path)
 		if err != nil {

@@ -67,21 +67,30 @@ func Register(fs *flag.FlagSet, bin Binary, dst map[string]any) {
 }
 
 // LoadGraph reads the edge-list file at path, or generates the named
-// preset when path is empty.
+// preset when path is empty, and relabels it by ≺ (graph.Relabel), so
+// that store nodes, CSR files, master and workers share one id space in
+// which graph.NewTotalOrder is the identity and symmetry-breaking
+// filters are bounds on sorted lists. The input graph is dropped once
+// relabelled; the result's InputID and InputOrder map back to its ids,
+// which is what output reports.
 func LoadGraph(path, preset string) (*graph.Graph, error) {
 	if path == "" {
 		p, err := gen.PresetByName(preset)
 		if err != nil {
 			return nil, err
 		}
-		return p.Generate(), nil
+		return graph.Relabel(p.Generate()), nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return graph.ReadEdgeList(f)
+	g, err := graph.ReadEdgeList(f)
+	if err != nil {
+		return nil, err
+	}
+	return graph.Relabel(g), nil
 }
 
 // Load is the job the shared flags describe: it parses the pattern,

@@ -529,11 +529,13 @@ type Mismatch struct {
 	Variant string
 	Backend string
 	// Seed regenerates the original failing graph:
-	// gen.RandomDataGraph(Spec, Seed).
-	Seed int64
-	Spec gen.RandomGraphSpec
-	// Graph is the shrunken counterexample (Shrunk reports whether
-	// shrinking reduced the original).
+	// gen.RandomDataGraph(Spec, Seed), run through graph.Relabel when
+	// Relabelled.
+	Seed       int64
+	Spec       gen.RandomGraphSpec
+	Relabelled bool
+	// Graph is the shrunken counterexample, in the id space it fails in
+	// (Shrunk reports whether shrinking reduced the original).
 	Graph  *graph.Graph
 	Shrunk bool
 	// WantCount/GotCount are the counts on Graph; Missing/Extra sample up
@@ -546,8 +548,8 @@ type Mismatch struct {
 
 func (m *Mismatch) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "differential mismatch: pattern=%s variant=%s backend=%s seed=%d\n",
-		m.Pattern, m.Variant, m.Backend, m.Seed)
+	fmt.Fprintf(&b, "differential mismatch: pattern=%s variant=%s backend=%s seed=%d relabelled=%v\n",
+		m.Pattern, m.Variant, m.Backend, m.Seed, m.Relabelled)
 	if m.Err != nil {
 		fmt.Fprintf(&b, "  backend error: %v\n", m.Err)
 	} else {
@@ -631,25 +633,32 @@ func (c *BatchConfig) normalize() {
 
 // RunBatch sweeps the full matrix and returns every mismatch found, each
 // shrunk to a minimal counterexample. An empty slice means the executor
-// stack and the oracle agreed on every cell. The sweep is deterministic
-// in cfg.Seed.
+// stack and the oracle agreed on every cell. Every graph runs twice: as
+// generated, under its (degree, id) rank order — the executor's rank
+// path — and relabelled by ≺ (graph.Relabel), under its identity order —
+// the bound path, the id space the binaries run in. The sweep is
+// deterministic in cfg.Seed.
 func RunBatch(cfg BatchConfig) []*Mismatch {
 	cfg.normalize()
 	var out []*Mismatch
 	for i := 0; i < cfg.Graphs; i++ {
 		seed := cfg.Seed + int64(i)
-		g := gen.RandomDataGraph(cfg.Spec, seed)
-		for _, p := range cfg.Patterns {
-			for _, v := range cfg.Variants {
-				for _, b := range cfg.Backends {
-					m := Validate(p, g, v, b)
-					if m == nil {
-						continue
+		g0 := gen.RandomDataGraph(cfg.Spec, seed)
+		for _, relabelled := range []bool{false, true} {
+			g := inForm(g0, relabelled)
+			for _, p := range cfg.Patterns {
+				for _, v := range cfg.Variants {
+					for _, b := range cfg.Backends {
+						m := Validate(p, g, v, b)
+						if m == nil {
+							continue
+						}
+						m.Seed = seed
+						m.Spec = cfg.Spec
+						m.Relabelled = relabelled
+						shrinkMismatch(m, p, v, b, cfg.MaxShrinkChecks)
+						out = append(out, m)
 					}
-					m.Seed = seed
-					m.Spec = cfg.Spec
-					shrinkMismatch(m, p, v, b, cfg.MaxShrinkChecks)
-					out = append(out, m)
 				}
 			}
 		}
@@ -657,21 +666,31 @@ func RunBatch(cfg BatchConfig) []*Mismatch {
 	return out
 }
 
+// inForm returns g relabelled by ≺ when relabelled, else g itself.
+func inForm(g *graph.Graph, relabelled bool) *graph.Graph {
+	if relabelled {
+		return graph.Relabel(g)
+	}
+	return g
+}
+
 // shrinkMismatch minimizes m.Graph under "this cell still fails the same
 // way" and refreshes the mismatch details against the shrunken graph. The
 // predicate matches the failure kind (backend error vs. result mismatch)
 // so a miscount cannot degenerate into, say, a plan-generation error on a
-// near-empty graph.
+// near-empty graph. A relabelled failure shrinks in its id space: each
+// smaller graph is relabelled again before it runs.
 func shrinkMismatch(m *Mismatch, p *graph.Pattern, v Variant, b Backend, maxChecks int) {
 	origErr := m.Err != nil
 	orig := m.Graph
 	small := Shrink(orig, func(g2 *graph.Graph) bool {
-		m2 := Validate(p, g2, v, b)
+		m2 := Validate(p, inForm(g2, m.Relabelled), v, b)
 		return m2 != nil && (m2.Err != nil) == origErr
 	}, maxChecks)
 	if small == orig {
 		return
 	}
+	small = inForm(small, m.Relabelled)
 	if m2 := Validate(p, small, v, b); m2 != nil {
 		m.Graph = small
 		m.Shrunk = true

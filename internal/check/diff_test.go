@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"benu/internal/estimate"
 	"benu/internal/gen"
 	"benu/internal/graph"
 	"benu/internal/kv"
+	"benu/internal/plan"
 )
 
 // matrixPatterns are the preset patterns every differential batch
@@ -147,11 +149,17 @@ func TestHarnessCatchesInjectedBugAndShrinks(t *testing.T) {
 		Variants: []Variant{opt},
 		Backends: []Backend{buggy},
 	}
+	// The batch also runs the graph relabelled by ≺, where vertex 0 is
+	// the least-degree vertex and here lies on no triangle: truncating its
+	// list loses nothing, and that form must pass.
 	ms := RunBatch(cfg)
-	if len(ms) != 1 {
-		t.Fatalf("RunBatch found %d mismatches, want 1", len(ms))
+	if len(ms) != 1 || ms[0].Relabelled {
+		t.Fatalf("RunBatch found %d mismatches, want 1, on the graph as generated", len(ms))
 	}
 	orig := gen.RandomDataGraph(cfg.Spec, cfg.Seed)
+	if graph.CountTriangles(graph.Relabel(orig)) == 0 || Validate(gen.Triangle(), graph.Relabel(orig), opt, buggy) != nil {
+		t.Fatal("the relabelled form does not pass as the batch says")
+	}
 	got := ms[0]
 	if !got.Shrunk || got.Graph.NumVertices() >= orig.NumVertices() {
 		t.Errorf("counterexample not shrunk: %d vertices (original %d, Shrunk=%v)",
@@ -163,6 +171,35 @@ func TestHarnessCatchesInjectedBugAndShrinks(t *testing.T) {
 	}
 	if got.String() == "" {
 		t.Error("empty mismatch report")
+	}
+
+	// A victim on a triangle in the relabelled graph fails that form too,
+	// and its counterexample shrinks in the relabelled id space.
+	h := graph.Relabel(orig)
+	victim := int64(-1)
+	for v := int64(0); v < int64(h.NumVertices()) && victim < 0; v++ {
+		adj := h.Adj(v)
+		if len(adj) > 1 && adj[len(adj)-1] > v {
+			for _, w := range adj {
+				if w > v && w != adj[len(adj)-1] && h.HasEdge(w, adj[len(adj)-1]) {
+					victim = v
+					break
+				}
+			}
+		}
+	}
+	cfg.Backends = []Backend{Backends(func(s kv.Store) kv.Store { return truncatingStore{inner: s, victim: victim} })[0]}
+	var relabelled *Mismatch
+	for _, m := range RunBatch(cfg) {
+		if m.Relabelled {
+			relabelled = m
+		}
+	}
+	if relabelled == nil {
+		t.Fatalf("truncating vertex %d of the relabelled graph went unnoticed", victim)
+	}
+	if !relabelled.Shrunk || Validate(gen.Triangle(), relabelled.Graph, opt, cfg.Backends[0]) == nil {
+		t.Errorf("relabelled counterexample not shrunk (%v) or no longer failing", relabelled.Shrunk)
 	}
 }
 
@@ -216,5 +253,32 @@ func TestBatchIsDeterministic(t *testing.T) {
 	a, b := RunBatch(cfg), RunBatch(cfg)
 	if len(a) != 0 || len(b) != 0 {
 		t.Fatalf("healthy stack mismatched: %d and %d failures", len(a), len(b))
+	}
+}
+
+// TestDifferentialSmallModel runs check.SmallModel — every graph on k
+// vertices under the identity order, against |all matches| / |Aut(P)| —
+// for every connected pattern on 2 to 5 vertices, with the planner's
+// order and the raw, optimized and VCBC plans. It fails when a single
+// restriction is dropped from the plans (docs/TESTING.md).
+func TestDifferentialSmallModel(t *testing.T) {
+	st := estimate.UniformStats(100_000, 20)
+	want := []int{2: 1, 3: 2, 4: 6, 5: 21}
+	for k := 2; k <= 5; k++ {
+		ps := ConnectedPatterns(k)
+		if len(ps) != want[k] {
+			t.Fatalf("%d connected patterns on %d vertices, want %d", len(ps), k, want[k])
+		}
+		for _, p := range ps {
+			for _, v := range ShortVariants() {
+				res, err := plan.GenerateBestPlan(p, st, v.Opts)
+				if err != nil {
+					t.Fatalf("%s %s: %v", p, v.Name, err)
+				}
+				if err := SmallModel(res.Plan); err != nil {
+					t.Errorf("%s: %v", v.Name, err)
+				}
+			}
+		}
 	}
 }

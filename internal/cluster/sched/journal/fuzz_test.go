@@ -52,6 +52,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte(magic))
 	f.Add([]byte{})
 	f.Add([]byte("BENUJNL1\x01\x00\x00\x00\x00\x00\x00\x00\x02"))
+	f.Add([]byte(magic + "\x01\x00\x00\x00\x00\x00\x00\x00\x02"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, valid, err := Decode(data)

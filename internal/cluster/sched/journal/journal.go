@@ -27,7 +27,7 @@
 // The file format is an append-only sequence of checksummed,
 // length-prefixed records behind an 8-byte magic header:
 //
-//	header  := "BENUJNL1"
+//	header  := "BENUJNL2"
 //	record  := len u32le | crc32(payload) u32le | payload
 //	payload := type byte | body (varint-encoded fields)
 //
@@ -51,8 +51,13 @@ import (
 	"benu/internal/vcbc"
 )
 
-// magic identifies (and versions) the file format.
-const magic = "BENUJNL1"
+// magic identifies (and versions) the file format. Version 2 journals
+// name tasks by start vertices in the id space the binaries relabel
+// graphs into (graph.Relabel); version 1 predates it.
+const (
+	magic       = "BENUJNL2"
+	magicFamily = "BENUJNL"
+)
 
 // Record types.
 const (
@@ -81,32 +86,18 @@ type JobSpec struct {
 	Tau int
 	// Tasks is the generated task count, cross-checked on resume.
 	Tasks int
-	// RanksHash fingerprints the symmetry-breaking total order.
-	RanksHash uint64
+	// OrderHash fingerprints the symmetry-breaking total order
+	// (graph.TotalOrder.Fingerprint): its ranks, or for a relabelled
+	// graph's identity order the relabel map, which says which graph the
+	// task IDs' start vertices belong to.
+	OrderHash uint64
 }
 
 // Equal reports whether two specs describe the same job.
 func (s *JobSpec) Equal(o *JobSpec) bool {
 	return s.NumVertices == o.NumVertices && s.Tau == o.Tau &&
-		s.Tasks == o.Tasks && s.RanksHash == o.RanksHash &&
+		s.Tasks == o.Tasks && s.OrderHash == o.OrderHash &&
 		string(s.Plan) == string(o.Plan)
-}
-
-// HashRanks fingerprints a total order for JobSpec.RanksHash (FNV-1a
-// over the rank sequence).
-func HashRanks(ranks []int64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, r := range ranks {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= uint64(byte(uint64(r) >> shift))
-			h *= prime
-		}
-	}
-	return h
 }
 
 // Completion is one committed task: the exactly-once unit of the
@@ -141,18 +132,27 @@ type Replay struct {
 	Torn bool
 }
 
-// ErrBadHeader reports a file that is not a journal (foreign or
-// incompatible magic). Open refuses to touch such a file.
+// ErrBadHeader reports a file that is not a journal (foreign magic).
+// Open refuses to touch such a file.
 var ErrBadHeader = errors.New("journal: bad file header")
+
+// ErrFormatVersion reports a journal of another format version, such as
+// one written before graphs were relabelled, whose task IDs name start
+// vertices in a different id space. Open refuses to resume from it.
+var ErrFormatVersion = errors.New("journal: written by another format version (task IDs in another id space); refusing to resume")
 
 // Decode replays journal bytes. It returns the replayed state and the
 // byte length of the valid prefix (header plus every intact record) —
 // the offset a writer must truncate to before appending. The only
-// error is ErrBadHeader for a file that is not a journal at all;
-// record-level corruption is not an error, it just sets Replay.Torn.
-// Decode never panics, whatever the input.
+// errors are ErrBadHeader for a file that is not a journal at all and
+// ErrFormatVersion for a journal of another version; record-level
+// corruption is not an error, it just sets Replay.Torn. Decode never
+// panics, whatever the input.
 func Decode(data []byte) (*Replay, int, error) {
 	if len(data) >= len(magic) && string(data[:len(magic)]) != magic {
+		if string(data[:len(magicFamily)]) == magicFamily {
+			return nil, 0, ErrFormatVersion
+		}
 		return nil, 0, ErrBadHeader
 	}
 	rep := &Replay{}
@@ -317,7 +317,7 @@ func (l *Log) AppendSpec(s *JobSpec) (int, error) {
 	l.buf = appendInt(l.buf, int64(s.NumVertices))
 	l.buf = appendInt(l.buf, int64(s.Tau))
 	l.buf = appendInt(l.buf, int64(s.Tasks))
-	l.buf = varint.Append(l.buf, s.RanksHash)
+	l.buf = varint.Append(l.buf, s.OrderHash)
 	if err := l.sealRecord(at); err != nil {
 		return 0, err
 	}
@@ -542,7 +542,7 @@ func decodeSpec(body []byte) (*JobSpec, bool) {
 	s.NumVertices = int(d.int64())
 	s.Tau = int(d.int64())
 	s.Tasks = int(d.int64())
-	s.RanksHash = d.uvarint()
+	s.OrderHash = d.uvarint()
 	if !d.ok || len(d.b) != 0 {
 		return nil, false
 	}

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +17,7 @@ func testSpec() *JobSpec {
 		NumVertices: 400,
 		Tau:         4,
 		Tasks:       37,
-		RanksHash:   HashRanks([]int64{3, 1, 2, 0}),
+		OrderHash:   0x9e3779b97f4a7c15,
 	}
 }
 
@@ -356,6 +357,23 @@ func TestJournalForeignFile(t *testing.T) {
 	}
 }
 
+// TestJournalOldVersionRefused: a version-1 journal — written before
+// graphs were relabelled, so its task IDs name start vertices in another
+// id space — is refused with ErrFormatVersion and left untouched.
+func TestJournalOldVersionRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	old := []byte("BENUJNL1\x01\x00\x00\x00\x00\x00\x00\x00\x02")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(path, Options{}); !errors.Is(err, ErrFormatVersion) {
+		t.Fatalf("Open of a version-1 journal: %v, want ErrFormatVersion", err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, old) {
+		t.Fatalf("Open modified the version-1 journal (%v)", err)
+	}
+}
+
 func TestJobSpecEqual(t *testing.T) {
 	a := testSpec()
 	if !a.Equal(testSpec()) {
@@ -366,7 +384,7 @@ func TestJobSpecEqual(t *testing.T) {
 		func(s *JobSpec) { s.NumVertices++ },
 		func(s *JobSpec) { s.Tau++ },
 		func(s *JobSpec) { s.Tasks++ },
-		func(s *JobSpec) { s.RanksHash++ },
+		func(s *JobSpec) { s.OrderHash++ },
 	}
 	for i, mut := range mutations {
 		b := testSpec()
@@ -374,9 +392,6 @@ func TestJobSpecEqual(t *testing.T) {
 		if a.Equal(b) {
 			t.Fatalf("mutation %d not detected by Equal", i)
 		}
-	}
-	if HashRanks([]int64{1, 2, 3}) == HashRanks([]int64{1, 3, 2}) {
-		t.Fatal("HashRanks is order-insensitive")
 	}
 }
 

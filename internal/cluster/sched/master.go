@@ -27,7 +27,9 @@ type MasterConfig struct {
 	Plan *plan.Plan
 	// NumVertices is |V(G)| of the data graph.
 	NumVertices int
-	// Ord is the symmetry-breaking total order, shipped to workers.
+	// Ord is the symmetry-breaking total order, shipped to workers as
+	// its rank array — or as nothing when it is the identity, as it is
+	// for every graph the binaries load (cmd/internal/cli relabels).
 	Ord *graph.TotalOrder
 	// Degree reports d_G(v); required for task splitting (Tau > 0) and
 	// degree-filtered plans.
@@ -196,7 +198,6 @@ type Master struct {
 	cfg       MasterConfig
 	spec      cluster.Spec
 	planBytes []byte
-	ranks     []int64
 	degrees   []int32
 	labels    []int64
 
@@ -298,7 +299,6 @@ func ServeMaster(ln net.Listener, cfg MasterConfig) (m *Master, err error) {
 		cfg:           cfg,
 		spec:          spec,
 		planBytes:     planBytes,
-		ranks:         cfg.Ord.Ranks(),
 		quit:          make(chan struct{}),
 		reg:           reg,
 		workersGauge:  reg.Gauge("sched.workers"),
@@ -386,7 +386,7 @@ func (m *Master) openJournal() error {
 		NumVertices: m.cfg.NumVertices,
 		Tau:         m.spec.Tau,
 		Tasks:       len(m.tasks),
-		RanksHash:   journal.HashRanks(m.ranks),
+		OrderHash:   m.cfg.Ord.Fingerprint(),
 	}
 	if rep.Spec == nil {
 		n, err := l.AppendSpec(spec)
@@ -719,7 +719,9 @@ func (s *schedService) Join(args *JoinArgs, reply *JoinReply) error {
 	reply.Epoch = m.epoch
 	reply.Plan = m.planBytes
 	reply.NumVertices = m.cfg.NumVertices
-	reply.Ranks = m.ranks
+	if !m.cfg.Ord.Identity() {
+		reply.Ranks = m.cfg.Ord.Ranks()
+	}
 	reply.StoreAddrs = m.cfg.StoreAddrs
 	reply.Degrees = m.degrees
 	reply.Labels = m.labels

@@ -600,3 +600,41 @@ func TestFlakyConnFaults(t *testing.T) {
 		}
 	})
 }
+
+// TestJournalRefusesOtherRelabelledGraph: on graphs relabelled by ≺ the
+// order is the identity, so the journal pins the relabel map instead of
+// the ranks. A resume on another graph of the same |V| — same plan, same
+// task count — is refused; one on the same graph resumes. The Join
+// payload of an identity order carries no rank array.
+func TestJournalRefusesOtherRelabelledGraph(t *testing.T) {
+	a := graph.Relabel(gen.PowerLaw(gen.PowerLawConfig{N: 40, EdgesPer: 3, Triad: 0.4, Seed: 3}))
+	b := graph.Relabel(gen.PowerLaw(gen.PowerLawConfig{N: 40, EdgesPer: 3, Triad: 0.4, Seed: 4}))
+	pl := bestPlan(t, gen.Triangle(), a, plan.OptimizedUncompressed)
+	jpath := filepath.Join(t.TempDir(), "job.journal")
+	start := func(g *graph.Graph) (*Master, error) {
+		cfg := masterFor(t, pl, g, obs.NewRegistry())
+		cfg.JournalPath = jpath
+		return StartMaster("127.0.0.1:0", cfg)
+	}
+	m, err := start(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var join JoinReply
+	if err := dialRaw(t, m.Addr()).Call("Sched.Join", &JoinArgs{Name: "probe"}, &join); err != nil {
+		t.Fatal(err)
+	}
+	if join.Ranks != nil {
+		t.Errorf("Join sent %d ranks for an identity order", len(join.Ranks))
+	}
+	m.Close()
+	if m, err := start(b); err == nil {
+		m.Close()
+		t.Fatal("master resumed a journal written for another graph of the same |V|")
+	}
+	m, err = start(a)
+	if err != nil {
+		t.Fatalf("resume on the journal's own graph: %v", err)
+	}
+	m.Close()
+}

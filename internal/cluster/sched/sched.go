@@ -100,7 +100,9 @@ type JoinReply struct {
 	Plan []byte
 	// NumVertices is |V(G)| of the data graph.
 	NumVertices int
-	// Ranks is the symmetry-breaking total order (graph.OrderFromRanks).
+	// Ranks is the symmetry-breaking total order (graph.OrderFromRanks),
+	// or nil when the order is the identity: the payload does not grow
+	// with |V| for a graph whose ids follow ≺.
 	Ranks []int64
 	// StoreAddrs are the kv storage nodes to dial when the worker was
 	// not constructed with its own store.

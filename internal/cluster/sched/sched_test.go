@@ -3,10 +3,12 @@ package sched
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/rpc"
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -832,6 +834,53 @@ func TestWorkerTakesTriangleCacheFromSpec(t *testing.T) {
 		}
 		if entries > 0 && (hits == 0 || misses == 0) {
 			t.Errorf("TriangleCacheEntries %d: exec.tricache.hits=%d misses=%d, want both non-zero", entries, hits, misses)
+		}
+	}
+}
+
+// joinOnly is a master that answers Join with a fixed reply.
+type joinOnly struct{ reply JoinReply }
+
+func (j *joinOnly) Join(_ *JoinArgs, reply *JoinReply) error {
+	*reply = j.reply
+	return nil
+}
+
+// TestWorkerRefusesJoinVertexCount: an identity order crosses the wire
+// as no ranks, so nothing in the payload bounds |V| any more; a worker
+// refuses a count it could not hold, and one below 1, before sizing any
+// per-vertex state by it.
+func TestWorkerRefusesJoinVertexCount(t *testing.T) {
+	g := graph.Relabel(testGraph())
+	m, err := StartMaster("127.0.0.1:0", masterFor(t, bestPlan(t, gen.Triangle(), g, plan.OptimizedUncompressed), g, obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var join JoinReply
+	if err := dialRaw(t, m.Addr()).Call("Sched.Join", &JoinArgs{Name: "probe"}, &join); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, graph.MaxEdgeListVertexID + 2, 1 << 40} {
+		fake := &joinOnly{reply: join}
+		fake.reply.NumVertices = n
+		srv := rpc.NewServer()
+		if err := srv.RegisterName("Sched", fake); err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Accept(ln)
+		w, err := StartWorker(ln.Addr().String(), WorkerConfig{Name: "w", Threads: 1})
+		ln.Close()
+		if err == nil {
+			w.Close()
+			t.Fatalf("worker accepted a join of %d vertices", n)
+		}
+		if !strings.Contains(err.Error(), "vertices") {
+			t.Errorf("%d vertices: %v, want the vertex count refused", n, err)
 		}
 	}
 }

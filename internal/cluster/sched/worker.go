@@ -189,9 +189,17 @@ func StartWorker(addr string, cfg WorkerConfig) (_ *Worker, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ord, err := graph.OrderFromRanks(join.Ranks)
-	if err != nil {
-		return nil, err
+	// An identity order arrives as no ranks at all, so the vertex count is
+	// bounded here, not by the payload: per-vertex state (bitsets, V(G))
+	// is sized by it.
+	if join.NumVertices <= 0 || join.NumVertices > graph.MaxEdgeListVertexID+1 {
+		return nil, fmt.Errorf("sched: join sent %d vertices", join.NumVertices)
+	}
+	ord := graph.IdentityOrder(join.NumVertices)
+	if join.Ranks != nil {
+		if ord, err = graph.OrderFromRanks(join.Ranks); err != nil {
+			return nil, err
+		}
 	}
 	switch {
 	case ord.Len() != join.NumVertices:

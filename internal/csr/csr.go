@@ -14,12 +14,18 @@
 //	  [28:32)  part, u32 — which partition this file holds
 //	  [32:40)  payloadLen, u64
 //	  [40:44)  crc32 (IEEE) of offsets + payload, u32
-//	  [44:64)  zero padding
+//	  [44:48)  flags, u32: FlagDegreeOrdered, or 0
+//	  [48:64)  zero padding
 //	offsets  (numListed+1) × u64, relative to the payload start:
 //	         list i occupies payload[off[i]:off[i+1]]; off[0] = 0,
 //	         nondecreasing, off[numListed] = payloadLen
 //	payload  concatenated varint-delta adjacency encodings
 //	         (graph.EncodeAdjList), one per stored vertex
+//
+// FlagDegreeOrdered marks a file whose graph's ids follow ≺ = (degree,
+// id), as every graph benu-store builds does (it relabels on load); the
+// benu CLI serves only such files, because its ids are the relabelled
+// ones. Files written before the flag existed carry 0 there, as padding.
 //
 // Vertex v is stored in the file with part == v mod parts, at slot
 // v div parts. This matches kv.Shard's hash partitioning, so a set of
@@ -36,6 +42,7 @@ package csr
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -52,7 +59,15 @@ const (
 	Version = 1
 	// HeaderSize is the fixed header length in bytes.
 	HeaderSize = 64
+	// FlagDegreeOrdered is the header flag of a graph whose degrees never
+	// decrease with the id (graph.Graph.DegreeOrdered).
+	FlagDegreeOrdered = 1
 )
+
+// ErrNotDegreeOrdered reports a CSR file whose ids do not follow ≺: one
+// built from a graph that was not relabelled, such as by a benu-store
+// that predates relabelling.
+var ErrNotDegreeOrdered = errors.New("csr: file ids are not in degree order (rebuild it with benu-store build)")
 
 // NumListed returns how many of n vertices the file for partition part
 // of parts holds: the count of v in [0, n) with v mod parts == part.
@@ -63,10 +78,14 @@ func NumListed(n, parts, part int) int {
 	return (n-part-1)/parts + 1
 }
 
-// Write serializes partition part of parts of g to w in the CSR format.
-// adj(v) must return v's sorted adjacency set; it is called once per
-// stored vertex, in slot order.
-func Write(w io.Writer, numVertices, parts, part int, adj func(v int64) []int64) error {
+// Write serializes partition part of parts of g to w in the CSR format,
+// with the header flags given (0 or FlagDegreeOrdered). adj(v) must
+// return v's sorted adjacency set; it is called once per stored vertex,
+// in slot order.
+func Write(w io.Writer, numVertices, parts, part int, flags uint32, adj func(v int64) []int64) error {
+	if flags&^FlagDegreeOrdered != 0 {
+		return fmt.Errorf("csr: unknown header flags %#x", flags)
+	}
 	if parts < 1 {
 		return fmt.Errorf("csr: parts %d < 1", parts)
 	}
@@ -102,6 +121,7 @@ func Write(w io.Writer, numVertices, parts, part int, adj func(v int64) []int64)
 	binary.LittleEndian.PutUint32(hdr[28:32], uint32(part))
 	binary.LittleEndian.PutUint64(hdr[32:40], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[40:44], crc.Sum32())
+	binary.LittleEndian.PutUint32(hdr[44:48], flags)
 
 	bw := bufio.NewWriter(w)
 	for _, chunk := range [][]byte{hdr, offs, payload} {
@@ -116,13 +136,17 @@ func Write(w io.Writer, numVertices, parts, part int, adj func(v int64) []int64)
 }
 
 // WriteGraphFile builds the CSR file for partition part of parts of g at
-// path.
+// path, flagged FlagDegreeOrdered when g's ids follow ≺.
 func WriteGraphFile(path string, g *graph.Graph, parts, part int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("csr: %w", err)
 	}
-	if err := Write(f, g.NumVertices(), parts, part, g.Adj); err != nil {
+	var flags uint32
+	if g.DegreeOrdered() {
+		flags = FlagDegreeOrdered
+	}
+	if err := Write(f, g.NumVertices(), parts, part, flags, g.Adj); err != nil {
 		f.Close()
 		return err
 	}
@@ -145,6 +169,7 @@ type File struct {
 	listed  int
 	parts   int
 	part    int
+	flags   uint32
 	unmap   func() error // nil when the data is heap-backed
 }
 
@@ -166,7 +191,11 @@ func Decode(data []byte) (*File, error) {
 	part := binary.LittleEndian.Uint32(data[28:32])
 	payloadLen := binary.LittleEndian.Uint64(data[32:40])
 	wantCRC := binary.LittleEndian.Uint32(data[40:44])
-	for _, b := range data[44:HeaderSize] {
+	flags := binary.LittleEndian.Uint32(data[44:48])
+	if flags&^FlagDegreeOrdered != 0 {
+		return nil, fmt.Errorf("csr: unknown header flags %#x", flags)
+	}
+	for _, b := range data[48:HeaderSize] {
 		if b != 0 {
 			return nil, fmt.Errorf("csr: nonzero header padding")
 		}
@@ -208,6 +237,7 @@ func Decode(data []byte) (*File, error) {
 		listed:  int(listed),
 		parts:   int(parts),
 		part:    int(part),
+		flags:   flags,
 	}
 	// Validate the offset table and every encoding now, so List never
 	// hands out bytes a downstream lazy decode could choke on.
@@ -278,6 +308,9 @@ func (f *File) NumListed() int { return f.listed }
 
 // Partition returns the (part, parts) hash-partition coordinates.
 func (f *File) Partition() (part, parts int) { return f.part, f.parts }
+
+// DegreeOrdered reports whether the header carries FlagDegreeOrdered.
+func (f *File) DegreeOrdered() bool { return f.flags&FlagDegreeOrdered != 0 }
 
 // SizeBytes returns the total image size.
 func (f *File) SizeBytes() int64 { return int64(len(f.data)) }

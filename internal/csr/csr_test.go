@@ -17,7 +17,7 @@ import (
 func image(t testing.TB, g *graph.Graph, parts, part int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, g.NumVertices(), parts, part, g.Adj); err != nil {
+	if err := Write(&buf, g.NumVertices(), parts, part, 0, g.Adj); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -151,13 +151,13 @@ func TestOpenMmapRoundTrip(t *testing.T) {
 func TestWriteRejectsBadPartition(t *testing.T) {
 	g := gen.DemoDataGraph()
 	var buf bytes.Buffer
-	if err := Write(&buf, g.NumVertices(), 0, 0, g.Adj); err == nil {
+	if err := Write(&buf, g.NumVertices(), 0, 0, 0, g.Adj); err == nil {
 		t.Error("parts=0 accepted")
 	}
-	if err := Write(&buf, g.NumVertices(), 2, 2, g.Adj); err == nil {
+	if err := Write(&buf, g.NumVertices(), 2, 2, 0, g.Adj); err == nil {
 		t.Error("part out of range accepted")
 	}
-	if err := Write(&buf, -1, 1, 0, g.Adj); err == nil {
+	if err := Write(&buf, -1, 1, 0, 0, g.Adj); err == nil {
 		t.Error("negative vertex count accepted")
 	}
 }
@@ -215,7 +215,7 @@ func TestDecodeRejectsOutOfRangeNeighbour(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 60, EdgesPer: 3, Seed: 7})
 	for _, bad := range []int64{60, 1000} {
 		var buf bytes.Buffer
-		err := Write(&buf, g.NumVertices(), 2, 1, func(v int64) []int64 {
+		err := Write(&buf, g.NumVertices(), 2, 1, 0, func(v int64) []int64 {
 			if v == 5 { // slot 2 of partition 1 of 2
 				return append(g.AdjCopy(v), bad)
 			}
@@ -249,7 +249,7 @@ func TestOpenCorruptFile(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, 0, 1, 0, func(int64) []int64 { return nil }); err != nil {
+	if err := Write(&buf, 0, 1, 0, 0, func(int64) []int64 { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	f, err := Decode(buf.Bytes())

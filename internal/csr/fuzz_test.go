@@ -18,7 +18,7 @@ func FuzzCSRDecode(f *testing.F) {
 	g := gen.DemoDataGraph()
 	for _, pp := range [][2]int{{1, 0}, {3, 1}} {
 		var buf bytes.Buffer
-		if err := Write(&buf, g.NumVertices(), pp[0], pp[1], g.Adj); err != nil {
+		if err := Write(&buf, g.NumVertices(), pp[0], pp[1], 0, g.Adj); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -32,7 +32,7 @@ func FuzzCSRDecode(f *testing.F) {
 	// A well-formed image (checksum included) whose vertex 0 lists a
 	// neighbour id past the header's vertex count.
 	var lying bytes.Buffer
-	if err := Write(&lying, g.NumVertices(), 1, 0, func(v int64) []int64 {
+	if err := Write(&lying, g.NumVertices(), 1, 0, 0, func(v int64) []int64 {
 		if v == 0 {
 			return append(g.AdjCopy(0), 1000)
 		}

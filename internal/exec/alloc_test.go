@@ -22,8 +22,9 @@ func TestExecutorSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun counts are not meaningful")
 	}
+	// The graph is swept as generated (the rank path) and relabelled by
+	// ≺ under its identity order (the bound path).
 	g := gen.ErdosRenyi(200, 1600, 42)
-	ord := graph.NewTotalOrder(g)
 	st := estimate.NewStats(g, estimate.MaxMomentDefault)
 	for _, tc := range []struct {
 		name string
@@ -34,42 +35,49 @@ func TestExecutorSteadyStateAllocs(t *testing.T) {
 		{"square", gen.Square()},
 		{"q6", gen.Q(6)}, // two mirrored registers: the bitsets are allocated once, in the warm-up sweep
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			res, err := plan.GenerateBestPlan(tc.p, st, plan.OptimizedUncompressed)
-			if err != nil {
-				t.Fatalf("GenerateBestPlan: %v", err)
+		for _, g := range []*graph.Graph{g, graph.Relabel(g)} {
+			ord := graph.NewTotalOrder(g)
+			name := tc.name
+			if ord.Identity() {
+				name += "-identity"
 			}
-			prog, err := Compile(res.Plan)
-			if err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
-			// The executor is told nothing: it takes the compact path and
-			// prefetches because the source says so. Were it to read this
-			// source's compact entries raw, each would decode per call and
-			// blow the budget below.
-			src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: true, Prefetch: true})
-			e := NewExecutor(prog, src, g.NumVertices(), ord, Options{})
-			sweep := func() {
-				for v := 0; v < g.NumVertices(); v++ {
-					if _, err := e.Run(Task{Start: int64(v)}); err != nil {
-						t.Fatalf("Run(start=%d): %v", v, err)
+			t.Run(name, func(t *testing.T) {
+				res, err := plan.GenerateBestPlan(tc.p, st, plan.OptimizedUncompressed)
+				if err != nil {
+					t.Fatalf("GenerateBestPlan: %v", err)
+				}
+				prog, err := Compile(res.Plan)
+				if err != nil {
+					t.Fatalf("Compile: %v", err)
+				}
+				// The executor is told nothing: it takes the compact path and
+				// prefetches because the source says so. Were it to read this
+				// source's compact entries raw, each would decode per call and
+				// blow the budget below.
+				src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: true, Prefetch: true})
+				e := NewExecutor(prog, src, g.NumVertices(), ord, Options{})
+				sweep := func() {
+					for v := 0; v < g.NumVertices(); v++ {
+						if _, err := e.Run(Task{Start: int64(v)}); err != nil {
+							t.Fatalf("Run(start=%d): %v", v, err)
+						}
 					}
 				}
-			}
-			sweep() // warm: fill the cache, size every scratch buffer
-			if e.Stats().Matches == 0 {
-				t.Fatal("graph has no matches; the test exercises nothing")
-			}
-			allocs := testing.AllocsPerRun(5, sweep)
-			// One full sweep is numVertices tasks and (for these patterns)
-			// thousands of embeddings. Budget a handful of stray
-			// allocations (sync.Pool refills after a GC) — anything per
-			// task or per embedding lands far above this.
-			if allocs > 8 {
-				t.Errorf("steady-state sweep allocates %.1f times (budget 8): "+
-					"per-task or per-embedding garbage crept back into the hot loop", allocs)
-			}
-		})
+				sweep() // warm: fill the cache, size every scratch buffer
+				if e.Stats().Matches == 0 {
+					t.Fatal("graph has no matches; the test exercises nothing")
+				}
+				allocs := testing.AllocsPerRun(5, sweep)
+				// One full sweep is numVertices tasks and (for these patterns)
+				// thousands of embeddings. Budget a handful of stray
+				// allocations (sync.Pool refills after a GC) — anything per
+				// task or per embedding lands far above this.
+				if allocs > 8 {
+					t.Errorf("steady-state sweep allocates %.1f times (budget 8): "+
+						"per-task or per-embedding garbage crept back into the hot loop", allocs)
+				}
+			})
+		}
 	}
 }
 

@@ -125,6 +125,12 @@ type Executor struct {
 	pf   *CachedSource
 	ord  *graph.TotalOrder
 	numV int
+	// ident is ord.Identity(): ≺ is <, so INT/TRC instructions trim a
+	// sorted list to their gt/lt bounds and test only their rest filters
+	// per element (the bound path). Otherwise every filter is tested per
+	// element, ≻ through rank, ord's rank array (the rank path).
+	ident bool
+	rank  []int64
 
 	opts Options
 
@@ -152,6 +158,10 @@ type Executor struct {
 	// exactly the register's ids. Each bitset is allocated on first mark.
 	marks []graph.Bitset
 
+	// probed counts the per-candidate list entries probe tested (its n),
+	// read by BenchmarkFloorRelabelled: what the bound path saves.
+	probed int64
+
 	sink     *obsSink // pre-resolved registry handles, flushed per task
 	depth    int      // current ENU recursion level
 	maxDepth int      // deepest level reached in the current task
@@ -173,6 +183,8 @@ func NewExecutor(prog *Program, src AdjSource, numVertices int, ord *graph.Total
 		prog:    prog,
 		src:     src,
 		ord:     ord,
+		ident:   ord.Identity(),
+		rank:    ord.Ranks(),
 		numV:    numVertices,
 		opts:    opts,
 		f:       make([]int64, prog.n),
@@ -243,7 +255,7 @@ func (e *Executor) Run(t Task) (Stats, error) {
 		// the checks can compare Start2 against it.
 		k1 := e.prog.Plan.Order[0]
 		e.f[k1] = t.Start
-		if t.Start == t.Start2 || !e.passes(e.prog.anchorChecks, t.Start2) {
+		if t.Start == t.Start2 || !e.admits(&e.prog.anchor, t.Start2) {
 			runnable = false
 		}
 		e.f[k1] = -1
@@ -307,7 +319,16 @@ func (e *Executor) run(pc int) error {
 			}
 
 		case plan.OpINT:
-			if err := e.execIntersect(in); err != nil {
+			var err error
+			switch {
+			case !e.ident:
+				err = e.execIntersect(in, in.filters)
+			case len(in.gt)+len(in.lt) == 0:
+				err = e.execIntersect(in, in.rest)
+			default:
+				err = e.execBounded(in)
+			}
+			if err != nil {
 				return err
 			}
 
@@ -406,10 +427,15 @@ func (e *Executor) AppendFrontier(dst []int64, t Task, adj []int64) []int64 {
 	if e.prog.needsLabels && (e.opts.LabelOf == nil || e.opts.LabelOf(t.Start) != e.prog.startLabel) {
 		return dst
 	}
-	filters := e.prog.instrs[e.prog.frontierPC].filters
+	in := &e.prog.instrs[e.prog.frontierPC]
+	filters := in.filters
 	cnt := max(t.SplitCount, 1)
 	f1 := e.prog.Plan.Order[0]
 	e.f[f1] = t.Start
+	if e.ident {
+		filters = in.rest
+		adj = graph.Between(adj, e.lo(in), e.hi(in))
+	}
 	i := 0 // index in the filtered set, the one the ENU strides over
 	for _, v := range adj {
 		if e.passes(filters, v) {
@@ -467,6 +493,7 @@ func (e *Executor) probe(dst []int64, in *cInstr, filters []cFilter) (out []int6
 	if n >= graph.GallopRatio*len(e.regs[in.ops[1-in.probeVar]]) {
 		return dst, false, nil
 	}
+	e.probed += int64(n)
 	switch {
 	case !enc && len(filters) == 0:
 		return bits.AppendMembers(dst, e.regs[r]), true, nil
@@ -507,17 +534,57 @@ func (e *Executor) enuSource(in *cInstr) []int64 {
 	return e.vgAll
 }
 
+// execBounded evaluates an INT instruction with bounds under an identity
+// order (the bound path). One operand register — the per-candidate list
+// of a hoisted INT, else the first that is not V(G) — is trimmed to the
+// instruction's (lo, hi) for the duration of execIntersect, which then
+// tests only the rest of the filters. The result is a subset of that
+// operand, so it is bounded too; one that still strays (the operand
+// parked encoded, or V(G) alone) is trimmed itself. Trimming a register's
+// view leaves its value and bitset mirror alone, and a hoisted INT's
+// fixed list whole, whose length decides between probe and merge.
+//
+//benulint:hotpath one INT instruction per embedding prefix under an identity order
+func (e *Executor) execBounded(in *cInstr) error {
+	lo, hi := e.lo(in), e.hi(in)
+	r := vgReg
+	if in.probeSlot != noSlot {
+		r = in.ops[in.probeVar]
+	} else {
+		for _, o := range in.ops {
+			if o != vgReg {
+				r = o
+				break
+			}
+		}
+	}
+	var err error
+	if r == vgReg {
+		err = e.execIntersect(in, in.rest)
+	} else {
+		full := e.regs[r]
+		e.regs[r] = graph.Between(full, lo, hi)
+		err = e.execIntersect(in, in.rest)
+		e.regs[r] = full
+	}
+	if out := e.regs[in.dst]; len(out) > 0 && (out[0] <= lo || out[len(out)-1] >= hi) {
+		e.regs[in.dst] = graph.Between(out, lo, hi)
+	}
+	return err
+}
+
 // execIntersect evaluates an INT instruction: intersect the operand sets
-// and apply the filtering conditions, writing the result into the
-// instruction's scratch buffer. Operands parked in encoded form by a
+// and apply filters — all of the instruction's on the rank path, the
+// rest of them on the bound path (execBounded) — writing the result into
+// the instruction's scratch buffer. Operands parked in encoded form by a
 // lazy DBQ are merged straight off their delta streams.
 //
 //benulint:hotpath one INT instruction per embedding prefix; all scratch is receiver-owned
-func (e *Executor) execIntersect(in *cInstr) error {
+func (e *Executor) execIntersect(in *cInstr, filters []cFilter) error {
 	e.stats.IntOps++
 	buf := e.bufs[in.buf][:0]
 	if in.probeSlot != noSlot {
-		out, ok, err := e.probe(buf, in, in.filters)
+		out, ok, err := e.probe(buf, in, filters)
 		if err != nil {
 			return err
 		}
@@ -561,7 +628,7 @@ func (e *Executor) execIntersect(in *cInstr) error {
 	}
 	if nenc > 0 {
 		var err error
-		buf, err = e.intersectEncoded(buf, enc0, enc1, nenc, sets, in.filters)
+		buf, err = e.intersectEncoded(buf, enc0, enc1, nenc, sets, filters)
 		e.intsets = sets
 		if err != nil {
 			return err
@@ -574,16 +641,16 @@ func (e *Executor) execIntersect(in *cInstr) error {
 	case 0:
 		// Candidate set is all of V(G), filtered.
 		for v := int64(0); v < int64(e.numV); v++ {
-			if e.passes(in.filters, v) {
+			if e.passes(filters, v) {
 				buf = append(buf, v)
 			}
 		}
 	case 1:
-		buf = e.appendFiltered(buf, sets[0], in.filters)
+		buf = e.appendFiltered(buf, sets[0], filters)
 	case 2:
-		buf = e.intersectFiltered(buf, sets[0], sets[1], in.filters)
+		buf = e.intersectFiltered(buf, sets[0], sets[1], filters)
 	default:
-		buf = e.foldIntersect(buf, sets, in.filters)
+		buf = e.foldIntersect(buf, sets, filters)
 	}
 	e.intsets = sets
 	e.bufs[in.buf] = buf
@@ -744,7 +811,17 @@ func (e *Executor) intersectFiltered(dst, a, b []int64, filters []cFilter) []int
 	return dst
 }
 
-// passes evaluates the filtering conditions against candidate v.
+// admits reports whether v passes in's filters, along either path.
+func (e *Executor) admits(in *cInstr, v int64) bool {
+	if !e.ident {
+		return e.passes(in.filters, v)
+	}
+	return v > e.lo(in) && v < e.hi(in) && e.passes(in.rest, v)
+}
+
+// passes evaluates the filtering conditions against candidate v. A
+// FilterGT or FilterLT reads the rank array: on the bound path they are
+// bounds, never passed here.
 //
 //benulint:hotpath runs once per candidate vertex per filter set
 func (e *Executor) passes(filters []cFilter, v int64) bool {
@@ -752,11 +829,11 @@ func (e *Executor) passes(filters []cFilter, v int64) bool {
 		fv := e.f[f.vertex]
 		switch f.kind {
 		case plan.FilterGT:
-			if !e.ord.Less(fv, v) {
+			if e.rank[fv] >= e.rank[v] {
 				return false
 			}
 		case plan.FilterLT:
-			if !e.ord.Less(v, fv) {
+			if e.rank[v] >= e.rank[fv] {
 				return false
 			}
 		case plan.FilterNE:
@@ -800,14 +877,44 @@ func (e *Executor) execTriangle(in *cInstr) {
 		e.bufs[in.buf] = buf
 		result = buf
 	}
-	if len(in.filters) > 0 {
+	filters := in.filters
+	if e.ident {
+		// A sorted result's bounded part is a subslice: trimming copies
+		// nothing, cached or not.
+		filters = in.rest
+		if len(in.gt)+len(in.lt) > 0 {
+			result = graph.Between(result, e.lo(in), e.hi(in))
+		}
+	}
+	if len(filters) > 0 {
 		// TRC caches the raw intersection; filters (if any) apply to a
 		// private copy so cached entries stay reusable across branches.
-		buf := e.appendFiltered(e.bufs[in.buf][:0], result, in.filters)
+		buf := e.appendFiltered(e.bufs[in.buf][:0], result, filters)
 		e.bufs[in.buf] = buf
 		result = buf
 	}
 	e.regs[in.dst] = result
+}
+
+// lo is the exclusive lower bound in's FilterGT conditions put on a
+// candidate under an identity order: the largest f value they name, or
+// -1 when there are none.
+func (e *Executor) lo(in *cInstr) int64 {
+	lo := int64(-1)
+	for _, u := range in.gt {
+		lo = max(lo, e.f[u])
+	}
+	return lo
+}
+
+// hi is the exclusive upper bound of in's FilterLT conditions: the
+// smallest f value they name, or graph.NoUpper.
+func (e *Executor) hi(in *cInstr) int64 {
+	hi := graph.NoUpper
+	for _, u := range in.lt {
+		hi = min(hi, e.f[u])
+	}
+	return hi
 }
 
 // rawIntersect intersects a TRC instruction's operand registers without

@@ -453,37 +453,85 @@ var parentStats = map[string][2][4]int64{
 // TestProbeChangesNoCount: every catalogue pattern on two power-law
 // graphs, raw and compact reads, triangle cache off and on, matches
 // graph.RefCount and reproduces the parent's instruction counts exactly.
+// Each graph also runs relabelled by ≺ (graph.Relabel), under its
+// identity order — the bound path — with the same program: the relabel
+// maps ≺ onto <, so every count is invariant.
 func TestProbeChangesNoCount(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.PowerLaw(gen.PowerLawConfig{N: 90, EdgesPer: 3, Triad: 0.4, Seed: 13}),
 		gen.PowerLaw(gen.PowerLawConfig{N: 60, EdgesPer: 5, Triad: 0.6, Seed: 14}),
 	}
 	for gi, g := range graphs {
-		ord := graph.NewTotalOrder(g)
 		for _, name := range cataloguePatterns {
 			p, err := gen.PatternByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := graph.RefCount(p, g, ord)
 			prog := compileBest(t, p, g, plan.AllOptions)
-			for _, compact := range []bool{false, true} {
-				for _, tri := range []int{0, 64} {
-					src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: compact})
-					s, err := RunAll(prog, src, g.NumVertices(), ord, Options{TriangleCacheEntries: tri})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if s.Matches != want {
-						t.Errorf("graph %d %s compact=%v tri=%d: %d matches, RefCount %d", gi, name, compact, tri, s.Matches, want)
-					}
-					got := [4]int64{s.DBQueries, s.IntOps, s.EnuSteps, s.Codes}
-					if got != parentStats[name][gi] {
-						t.Errorf("graph %d %s compact=%v tri=%d: {DBQ IntOps EnuSteps Codes} = %v, parent %v",
-							gi, name, compact, tri, got, parentStats[name][gi])
+			for _, g := range []*graph.Graph{g, graph.Relabel(g)} {
+				ord := graph.NewTotalOrder(g)
+				want := graph.RefCount(p, g, ord)
+				for _, compact := range []bool{false, true} {
+					for _, tri := range []int{0, 64} {
+						src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: compact})
+						s, err := RunAll(prog, src, g.NumVertices(), ord, Options{TriangleCacheEntries: tri})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if s.Matches != want {
+							t.Errorf("graph %d %s identity=%v compact=%v tri=%d: %d matches, RefCount %d",
+								gi, name, ord.Identity(), compact, tri, s.Matches, want)
+						}
+						got := [4]int64{s.DBQueries, s.IntOps, s.EnuSteps, s.Codes}
+						if got != parentStats[name][gi] {
+							t.Errorf("graph %d %s identity=%v compact=%v tri=%d: {DBQ IntOps EnuSteps Codes} = %v, parent %v",
+								gi, name, ord.Identity(), compact, tri, got, parentStats[name][gi])
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestBoundPushDown: over the catalogue's best VCBC plans, the INTs that
+// receive bounds from their single consumer — unfiltered, unmirrored,
+// with a one-operand INT as their only reader — are exactly these, with
+// the pattern vertices of the bounds. In q6, C6 := T6 | >f1,…,>f5 hands
+// >f1,>f5 to T6 := A4∩A5, the probe of the f5 loop.
+func TestBoundPushDown(t *testing.T) {
+	st := estimate.UniformStats(100_000, 20)
+	got := map[string][]string{}
+	for _, name := range cataloguePatterns {
+		p, err := gen.PatternByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := plan.GenerateBestPlan(p, st, plan.AllOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Compile(res.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pc, in := range prog.instrs {
+			if len(in.filters) == 0 && len(in.gt)+len(in.lt) > 0 {
+				got[name] = append(got[name], fmt.Sprintf("%s gt=%v lt=%v", res.Plan.Instrs[pc].Target, in.gt, in.lt))
+			}
+		}
+	}
+	want := map[string][]string{
+		"clique4": {"T4 gt=[0 1 2] lt=[]"},
+		"clique5": {"T5 gt=[0 1 2 3] lt=[]"},
+		"cycle5":  {"T5 gt=[1 0] lt=[]"},
+		"q2":      {"T4 gt=[2] lt=[]"},
+		"q5":      {"T5 gt=[0 1 2 3] lt=[]"},
+		"q6":      {"T6 gt=[0 4] lt=[]"},
+		"q8":      {"T4 gt=[0] lt=[]"},
+		"square":  {"T4 gt=[0 1] lt=[]"},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("bound push-downs = %v, want %v", got, want)
 	}
 }

@@ -37,6 +37,16 @@ type cInstr struct {
 	keys    []int     // TRC cache-key pattern vertices
 	iniIdx  int       // 0 = Task.Start, 1 = Task.Start2 (anchored plans)
 
+	// gt and lt are the pattern vertices of the INT/TRC's FilterGT and
+	// FilterLT conditions, rest its other conditions: under an identity
+	// order (≺ is <) the executor trims a sorted list the instruction
+	// reads to the open interval (max f(gt), min f(lt)) and tests only
+	// rest per element.
+	// Bounds pushed down from an INT's single consumer land here too, and
+	// the consumer's own gt and lt are then empty (see Compile).
+	gt, lt []int
+	rest   []cFilter
+
 	// prefetch marks an ENU whose target vertex is DB-queried before the
 	// next enumeration level opens: every candidate the loop binds will be
 	// looked up in the store, so batch-fetching the candidate set up front
@@ -118,10 +128,10 @@ type Program struct {
 	needsLabels bool
 	startLabel  int64
 
-	// anchored marks delta plans; anchorChecks run once per task against
-	// Task.Start2 (with Task.Start already bound).
-	anchored     bool
-	anchorChecks []cFilter
+	// anchored marks delta plans; the filters of anchor run once per task
+	// against Task.Start2 (with Task.Start already bound).
+	anchored bool
+	anchor   cInstr
 
 	// Compressed-result metadata (valid when Plan.Compressed).
 	freeVerts   []int
@@ -143,6 +153,31 @@ func filtersReadOnly(filters []cFilter, f int) bool {
 		}
 	}
 	return true
+}
+
+// addFilter compiles f into ci's filters, and into its bound vertices
+// (FilterGT, FilterLT) or the rest.
+func (ci *cInstr) addFilter(f plan.FilterCond) {
+	c := cFilter{kind: f.Kind, vertex: f.Vertex, degree: f.Degree, label: f.Label}
+	ci.filters = append(ci.filters, c)
+	switch f.Kind {
+	case plan.FilterGT:
+		ci.gt = append(ci.gt, f.Vertex)
+	case plan.FilterLT:
+		ci.lt = append(ci.lt, f.Vertex)
+	case plan.FilterNE, plan.FilterMinDeg, plan.FilterLabel:
+		ci.rest = append(ci.rest, c)
+	}
+}
+
+// enuBetween reports whether an ENU lies strictly between pcs from and to.
+func enuBetween(instrs []cInstr, from, to int) bool {
+	for j := from + 1; j < to; j++ {
+		if instrs[j].op == plan.OpENU {
+			return true
+		}
+	}
+	return false
 }
 
 // SupportsSplitting reports whether task splitting can apply: the plan
@@ -204,7 +239,7 @@ func Compile(pl *plan.Plan) (*Program, error) {
 				ci.ops = append(ci.ops, r)
 			}
 			for _, f := range in.Filters {
-				ci.filters = append(ci.filters, cFilter{kind: f.Kind, vertex: f.Vertex, degree: f.Degree, label: f.Label})
+				ci.addFilter(f)
 				if f.Kind == plan.FilterLabel {
 					prog.needsLabels = true
 				}
@@ -304,15 +339,8 @@ func Compile(pl *plan.Plan) (*Program, error) {
 			len(prog.instrs[rpc].ops) > 32 { // encMask width; plans never get close
 			continue
 		}
-		fusable := true
-		for j := pc + 1; j < rpc; j++ {
-			if prog.instrs[j].op == plan.OpENU {
-				fusable = false // INT re-runs per candidate; eager decode is cheaper
-				break
-			}
-		}
-		if !fusable {
-			continue
+		if enuBetween(prog.instrs, pc, rpc) {
+			continue // INT re-runs per candidate; eager decode is cheaper
 		}
 		in.lazy = true
 		for k, r := range prog.instrs[rpc].ops {
@@ -365,6 +393,27 @@ func Compile(pl *plan.Plan) (*Program, error) {
 		}
 	}
 
+	// Bound push-down: a single-operand INT whose operand is defined by an
+	// unfiltered, unmirrored INT that nothing else reads, with no ENU in
+	// between, hands its bounds to that INT — every vertex they name is
+	// bound there too. Under an identity order the defining INT then
+	// trims its operands before intersecting (q6's C6 := T6 | >f1,>f5
+	// bounds T6 := A4∩A5), and the consumer only tests what is left.
+	for pc := range prog.instrs {
+		in := &prog.instrs[pc]
+		if in.op != plan.OpINT || len(in.ops) != 1 || in.ops[0] == vgReg || len(in.gt)+len(in.lt) == 0 {
+			continue
+		}
+		r := in.ops[0]
+		def := &prog.instrs[defPC[r]]
+		if def.op != plan.OpINT || len(def.filters) != 0 || def.markSlot != noSlot || reads[r] != 1 ||
+			enuBetween(prog.instrs, defPC[r], pc) {
+			continue
+		}
+		def.gt, def.lt = in.gt, in.lt
+		in.gt, in.lt = nil, nil
+	}
+
 	// Frontier analysis: the first ENU's candidates are known from A(f₁)
 	// alone when the loop iterates that list or one single-operand INT's
 	// filtering of it, and worth fetching ahead when the loop DB-queries
@@ -388,9 +437,7 @@ func Compile(pl *plan.Plan) (*Program, error) {
 	if pl.Anchored {
 		prog.anchored = true
 		for _, f := range pl.AnchorChecks {
-			prog.anchorChecks = append(prog.anchorChecks, cFilter{
-				kind: f.Kind, vertex: f.Vertex, degree: f.Degree, label: f.Label,
-			})
+			prog.anchor.addFilter(f)
 		}
 	}
 

@@ -19,6 +19,7 @@ type Graph struct {
 	adj    [][]int64
 	m      int64
 	labels []int64 // optional vertex labels (see labels.go); nil = unlabeled
+	ids    []int64 // id in the input graph per vertex (see Relabel); nil = not relabelled
 }
 
 // NumVertices returns N = |V(G)|.

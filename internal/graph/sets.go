@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // ContainsSorted reports whether x occurs in the ascending-sorted slice a.
 func ContainsSorted(a []int64, x int64) bool {
@@ -135,4 +138,52 @@ func DiffSorted(dst, a, b []int64) []int64 {
 		}
 	}
 	return append(dst, a[i:]...)
+}
+
+// NoUpper is the hi of Between that bounds nothing.
+const NoUpper = int64(math.MaxInt64)
+
+// Between returns the subslice of the ascending-sorted s strictly
+// between lo and hi: the part a symmetry-breaking bound v > lo, v < hi
+// keeps when ≺ is < on ids. Both cuts are searched from the back, where
+// they usually lie: with ids in degree order, the neighbours above a
+// bound are a short suffix. lo < 0 and hi == NoUpper bound nothing.
+func Between(s []int64, lo, hi int64) []int64 {
+	if hi != NoUpper {
+		s = s[:firstAbove(s, hi-1)]
+	}
+	if lo >= 0 {
+		s = s[firstAbove(s, lo):]
+	}
+	return s
+}
+
+// firstAbove returns the least i with s[i] > x (len(s) when there is
+// none), galloping backwards from the end of the ascending-sorted s and
+// then bisecting the last step. A list wholly above x answers at once.
+func firstAbove(s []int64, x int64) int {
+	hi := len(s) // s[hi:] > x
+	if hi == 0 || s[hi-1] <= x {
+		return hi
+	}
+	if s[0] > x {
+		return 0
+	}
+	hi--
+	lo, step := hi-1, 1 // s[lo] <= x, or lo < 0
+	for lo >= 0 && s[lo] > x {
+		hi = lo
+		step <<= 1
+		lo = hi - step
+	}
+	lo = max(lo+1, 0) // the answer is in [lo, hi]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] > x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }

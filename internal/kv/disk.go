@@ -50,6 +50,10 @@ func (d *Disk) NumVertices() int { return d.f.NumVertices() }
 // underlying file.
 func (d *Disk) Partition() (part, parts int) { return d.f.Partition() }
 
+// DegreeOrdered reports whether the file's ids follow ≺ (its header's
+// csr.FlagDegreeOrdered).
+func (d *Disk) DegreeOrdered() bool { return d.f.DegreeOrdered() }
+
 // Metrics exposes the store's traffic counters.
 func (d *Disk) Metrics() *Metrics { return &d.metrics }
 
