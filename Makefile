@@ -11,7 +11,7 @@ FUZZTIME ?= 30s
 # the packages that own it, `race-chaos` over the whole module.
 CHAOS_TESTS := TestChaos|TestNetChaos|TestResilient|TestTaskRetry|TestRunContext|TestLeaseExpiry|TestSteal|TestJournal|TestEpoch|TestDuplicate|TestWorkerShutdown|TestFlakyConn
 
-.PHONY: all build test short race race-chaos vet lint lint-sarif bench bench-json bench-gate check diff chaos chaos-net smoke-net smoke-disk fuzz tidy-check loc clean
+.PHONY: all build test short race race-chaos vet lint bench bench-json bench-gate check diff chaos chaos-net smoke-net smoke-disk fuzz tidy-check loc clean
 
 all: check
 
@@ -102,15 +102,10 @@ vet:
 	$(GO) vet ./...
 
 ## lint: the project's own analyzer suite — determinism, instrswitch,
-## metricname, ctxflow, decodesafe, lockorder, goroleak, wiresafe,
-## hotpath (docs/LINTING.md) over every package
+## metricname, ctxflow, decodesafe, lockorder, goroleak, hotpath
+## (docs/LINTING.md) over every package
 lint:
 	$(GO) run ./cmd/benu-lint ./...
-
-## lint-sarif: the same suite as SARIF 2.1.0 on stdout, for GitHub code
-## scanning annotations (exit status matches `make lint`)
-lint-sarif:
-	$(GO) run ./cmd/benu-lint -sarif ./...
 
 ## tidy-check: go.mod/go.sum must be tidy (CI hygiene job; needs a
 ## clean working tree to be meaningful)

@@ -6,17 +6,14 @@
 //
 // Usage:
 //
-//	benu-lint [-json] [-sarif] [-list] [packages...]
+//	benu-lint [-list] [packages...]
 //
-// Findings print as file:line:col: [analyzer] message; -json emits the
-// stable Finding array, -sarif a SARIF 2.1.0 document for GitHub code
-// scanning annotations. The whole-tree checks (metric doc drift) run
-// only when linting ./... — a package subset cannot prove a documented
-// metric unused.
+// Findings print as file:line:col: [analyzer] message. The whole-tree
+// checks (metric doc drift) run only when linting ./... — a package
+// subset cannot prove a documented metric unused.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,20 +22,13 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 document (GitHub annotations)")
 	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: benu-lint [-json] [-sarif] [-list] [packages...]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: benu-lint [-list] [packages...]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs the BENU analyzer suite (see docs/LINTING.md) over the named\npackages (default ./...).\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "benu-lint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, a := range lint.Analyzers() {
@@ -60,31 +50,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	switch {
-	case *sarifOut:
-		root, err := os.Getwd()
-		if err != nil {
-			root = ""
-		}
-		if err := lint.WriteSARIF(os.Stdout, root, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "benu-lint:", err)
-			os.Exit(2)
-		}
-	case *jsonOut:
-		if findings == nil {
-			// A clean run encodes as [], not null — consumers parse an array.
-			findings = []lint.Finding{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "benu-lint:", err)
-			os.Exit(2)
-		}
-	default:
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "benu-lint: %d finding(s)\n", len(findings))

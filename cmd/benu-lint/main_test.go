@@ -41,7 +41,6 @@ func TestAnalyzerInventory(t *testing.T) {
 		"instrswitch": true,
 		"lockorder":   true,
 		"metricname":  true,
-		"wiresafe":    true,
 	}
 	got := lint.Analyzers()
 	if len(got) != len(want) {

@@ -47,40 +47,65 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 400, EdgesPer: 4, Triad: 0.5, Seed: 61})
 	ord := graph.NewTotalOrder(g)
 	pl := bestPlan(t, gen.Q(4), g, plan.OptimizedUncompressed)
-	// Slow the store down and disable caching so the run is long enough
-	// to catch mid-flight.
-	store := kv.NewFaulty(kv.NewLocal(g))
-	store.Latency = 200 * time.Microsecond
-	cfg := Defaults(g)
-	cfg.CacheBytes = 0
+	for _, tc := range []struct {
+		name  string
+		store func() kv.Store
+	}{
+		// Slow the store down so the run is long enough to catch
+		// mid-flight.
+		{"slow", func() kv.Store {
+			store := kv.NewFaulty(kv.NewLocal(g))
+			store.Latency = 200 * time.Microsecond
+			return store
+		}},
+		// Every read fails with a retryable error, and the retry budget
+		// outlasts the bound below many times over: only the run's
+		// context, bound into the store by NewMachine, can end the
+		// retries.
+		{"retrying", func() kv.Store {
+			faulty := kv.NewFaulty(kv.NewLocal(g))
+			faulty.FailEveryN = 1
+			return kv.NewResilient(faulty, kv.ResilientOptions{
+				Policy:         resilience.Policy{MaxAttempts: 1 << 20, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second},
+				DisableBreaker: true,
+				Obs:            obs.NewRegistry(),
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := tc.store()
+			cfg := Defaults(g)
+			cfg.CacheBytes = 0 // every read goes to the store
 
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := RunContext(ctx, pl, store, ord, g.Degree, cfg)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Skip("run finished before the cancel landed — graph too small for this machine")
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled run never returned: dispatch not stopped")
-	}
-	// All worker goroutines must drain; poll briefly for the runtime to
-	// settle before comparing.
-	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Errorf("goroutines leaked: %d before, %d after cancel", before, after)
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunContext(ctx, pl, store, ord, g.Degree, cfg)
+				done <- err
+			}()
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Skip("run finished before the cancel landed — graph too small for this machine")
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("err = %v, want context.Canceled", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("cancelled run never returned: dispatch not stopped")
+			}
+			// All worker goroutines must drain; poll briefly for the runtime to
+			// settle before comparing.
+			for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before+2 {
+				t.Errorf("goroutines leaked: %d before, %d after cancel", before, after)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"context"
+	"encoding"
+	"encoding/gob"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -21,6 +23,62 @@ import (
 	"benu/internal/obs"
 	"benu/internal/plan"
 )
+
+// TestWireTypesAreGobSafe walks every argument and reply type of the
+// Sched RPC service. Gob drops an unexported field without an error, so
+// the field is zero on the other side; and it cannot encode a func, a
+// channel or an interface value whose type nobody registered. Types that
+// encode themselves are exempt.
+func TestWireTypesAreGobSafe(t *testing.T) {
+	gobEncoder := reflect.TypeFor[gob.GobEncoder]()
+	marshaler := reflect.TypeFor[encoding.BinaryMarshaler]()
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		ptr := reflect.PointerTo(typ)
+		if ptr.Implements(gobEncoder) || ptr.Implements(marshaler) {
+			return
+		}
+		switch typ.Kind() {
+		case reflect.Func, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s has kind %s, which gob cannot encode", path, typ.Kind())
+		case reflect.Pointer:
+			walk(typ.Elem(), path)
+		case reflect.Slice, reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Map:
+			walk(typ.Key(), path+"[key]")
+			walk(typ.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				if !f.IsExported() {
+					t.Errorf("%s.%s is unexported: gob drops it silently", path, f.Name)
+					continue
+				}
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	svc := reflect.TypeOf(&schedService{})
+	methods := 0
+	for i := range svc.NumMethod() {
+		m := svc.Method(i)
+		if m.Type.NumIn() != 3 || m.Type.NumOut() != 1 {
+			continue // not an RPC method
+		}
+		methods++
+		walk(m.Type.In(1), "Sched."+m.Name+" args")
+		walk(m.Type.In(2), "Sched."+m.Name+" reply")
+	}
+	if methods == 0 {
+		t.Error("schedService has no RPC methods: the walk checked nothing")
+	}
+}
 
 // TestMain hooks the cross-process harness: when the binary is re-exec'd
 // by SpawnWorkerProcess it runs a worker instead of the tests.

@@ -21,7 +21,6 @@ import (
 	"benu/internal/lint/instrswitch"
 	"benu/internal/lint/lockorder"
 	"benu/internal/lint/metricname"
-	"benu/internal/lint/wiresafe"
 )
 
 // Analyzers returns the project's analyzer suite in reporting order.
@@ -35,15 +34,14 @@ func Analyzers() []*analysis.Analyzer {
 		instrswitch.Analyzer,
 		lockorder.Analyzer,
 		metricname.Analyzer,
-		wiresafe.Analyzer,
 	}
 }
 
 // Finding is one diagnostic with its source position resolved.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 // String renders the finding in the conventional file:line:col form.
