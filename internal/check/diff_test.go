@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -259,26 +260,57 @@ func TestBatchIsDeterministic(t *testing.T) {
 // TestDifferentialSmallModel runs check.SmallModel — every graph on k
 // vertices under the identity order, against |all matches| / |Aut(P)| —
 // for every connected pattern on 2 to 5 vertices, with the planner's
-// order and the raw, optimized and VCBC plans. It fails when a single
-// restriction is dropped from the plans (docs/TESTING.md).
+// order and the raw, optimized, degree-filtered and VCBC plans. It fails
+// when a single restriction is dropped from the plans (docs/TESTING.md).
+// A labeled column runs the patterns on 2 to 4 vertices with two labels,
+// on every two-labelling of every graph: symmetric labeled patterns on
+// the bound path, where a label condition is one of an INT's rest filters.
 func TestDifferentialSmallModel(t *testing.T) {
 	st := estimate.UniformStats(100_000, 20)
 	want := []int{2: 1, 3: 2, 4: 6, 5: 21}
+	variants := append(ShortVariants(), Variants()[2])
 	for k := 2; k <= 5; k++ {
 		ps := ConnectedPatterns(k)
 		if len(ps) != want[k] {
 			t.Fatalf("%d connected patterns on %d vertices, want %d", len(ps), k, want[k])
 		}
 		for _, p := range ps {
-			for _, v := range ShortVariants() {
-				res, err := plan.GenerateBestPlan(p, st, v.Opts)
-				if err != nil {
-					t.Fatalf("%s %s: %v", p, v.Name, err)
+			for _, v := range variants {
+				smallModel(t, p, st, v)
+			}
+			if k > 4 {
+				continue
+			}
+			// u1 apart from the rest (symmetries among the others stay),
+			// and alternating labels.
+			for _, label := range []func(u int) int64{
+				func(u int) int64 { return int64(min(u, 1)) },
+				func(u int) int64 { return int64(u % 2) },
+			} {
+				labels := make([]int64, k)
+				for u := range labels {
+					labels[u] = label(u)
 				}
-				if err := SmallModel(res.Plan); err != nil {
-					t.Errorf("%s: %v", v.Name, err)
+				lp, err := graph.NewLabeledPattern(p.Name()+fmt.Sprint(labels), k, p.Graph().EdgeList(), labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range ShortVariants() {
+					smallModel(t, lp, st, v)
 				}
 			}
 		}
+	}
+}
+
+// smallModel plans p at variant v and runs check.SmallModel on the plan.
+func smallModel(t *testing.T, p *graph.Pattern, st *estimate.Stats, v Variant) {
+	t.Helper()
+	res, err := plan.GenerateBestPlan(p, st, v.Opts)
+	if err != nil {
+		t.Fatalf("%s %s: %v", p, v.Name, err)
+	}
+	if err := SmallModel(res.Plan); err != nil {
+		t.Errorf("%s: %v", v.Name, err)
 	}
 }

@@ -16,15 +16,19 @@ import (
 // executor applies symmetry-breaking filters as bounds on sorted lists.
 //
 // That suffices: whether a plan emits an embedding f with image S
-// depends only on G[S] and on ≺ restricted to S (membership tests
-// adjacency among images, every filter but FilterMinDeg relates images,
-// and FilterMinDeg passes every true embedding because d_G ≥ d_G[S] ≥
-// d_P), so every (G[S], ≺|S) is one of these graphs under the identity.
+// depends only on G[S], on ≺ restricted to S and on the labels of S
+// (membership tests adjacency among images, every filter but
+// FilterMinDeg relates images or reads their labels, and FilterMinDeg
+// passes every true embedding because d_G ≥ d_G[S] ≥ d_P), so every
+// (G[S], ≺|S) is one of these graphs under the identity.
 //
 // The oracle shares nothing with the plan's restriction set: it is
 // graph.RefCountAllMatches, which breaks no symmetry, divided by
 // |Aut(P)|. SmallModel returns an error naming the first graph where
-// the two disagree, nil when none does. Unlabeled patterns only.
+// the two disagree, nil when none does. A labeled pattern runs on every
+// labelling of every graph with the pattern's own labels — the only ones
+// an image can carry — and |Aut(P)| counts label-preserving maps; a
+// degree-filtered plan gets the graph's degrees.
 func SmallModel(pl *plan.Plan) error {
 	p := pl.Pattern
 	k := p.NumVertices()
@@ -35,19 +39,56 @@ func SmallModel(pl *plan.Plan) error {
 	aut := int64(len(p.Automorphisms()))
 	ord := graph.IdentityOrder(k)
 	pairs := vertexPairs(k)
+	labelings := [][]int64{nil}
+	if p.Labeled() {
+		labelings = labelingsOf(p)
+	}
 	for mask := 0; mask < 1<<len(pairs); mask++ {
-		g := graph.FromEdges(k, edgesOf(pairs, mask))
-		want := graph.RefCountAllMatches(p, g) / aut
-		st, err := exec.RunAll(prog, exec.GraphSource{G: g}, k, ord, exec.Options{TriangleCacheEntries: 16})
-		if err != nil {
-			return fmt.Errorf("check: small model of %s on %v: %w", p.Name(), g.EdgeList(), err)
-		}
-		if st.Matches != want {
-			return fmt.Errorf("check: small model of %s on %v: %d matches, |all matches|/|Aut(P)| = %d",
-				p.Name(), g.EdgeList(), st.Matches, want)
+		for _, labels := range labelings {
+			g := graph.FromEdges(k, edgesOf(pairs, mask))
+			opts := exec.Options{TriangleCacheEntries: 16}
+			if labels != nil {
+				if g, err = g.WithVertexLabels(labels); err != nil {
+					return err
+				}
+				opts.LabelOf = g.Label
+			}
+			if pl.DegreeFiltered {
+				opts.DegreeOf = g.Degree
+			}
+			want := graph.RefCountAllMatches(p, g) / aut
+			st, err := exec.RunAll(prog, exec.GraphSource{G: g}, k, ord, opts)
+			if err != nil {
+				return fmt.Errorf("check: small model of %s on %v labels %v: %w", p.Name(), g.EdgeList(), labels, err)
+			}
+			if st.Matches != want {
+				return fmt.Errorf("check: small model of %s on %v labels %v: %d matches, |all matches|/|Aut(P)| = %d",
+					p.Name(), g.EdgeList(), labels, st.Matches, want)
+			}
 		}
 	}
 	return nil
+}
+
+// labelingsOf returns every map from p's vertices to p's labels.
+func labelingsOf(p *graph.Pattern) [][]int64 {
+	var labels []int64
+	for u := 0; u < p.NumVertices(); u++ {
+		labels = append(labels, p.Label(int64(u)))
+	}
+	slices.Sort(labels)
+	labels = slices.Compact(labels)
+	out := [][]int64{{}}
+	for range p.NumVertices() {
+		var next [][]int64
+		for _, l := range out {
+			for _, x := range labels {
+				next = append(next, append(slices.Clone(l), x))
+			}
+		}
+		out = next
+	}
+	return out
 }
 
 // ConnectedPatterns returns one pattern per isomorphism class of the

@@ -286,7 +286,7 @@ func TestMasterKilledAfterBatchAppend(t *testing.T) {
 
 // TestReportRedeliveredAfterTimeout produces the duplicate delivery the
 // way the network does: a real worker's report reaches the master, the
-// reply is so slow that the attempt times out, the worker rejoins and
+// reply is held until the attempt has timed out, the worker rejoins and
 // retries, and the master sees the batch twice. Totals stay exact.
 func TestReportRedeliveredAfterTimeout(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 60, EdgesPer: 3, Triad: 0.4, Seed: 5})
@@ -306,9 +306,13 @@ func TestReportRedeliveredAfterTimeout(t *testing.T) {
 	defer m.Close()
 
 	// The worker talks to the master through a relay. Its first
-	// connection is healthy until the test cuts it; on the second (the
-	// first rejoin) every reply arrives later than the attempt timeout;
-	// later ones are healthy again.
+	// connection is healthy until the test cuts it. On every later one,
+	// until the master has seen a duplicate, a reply read after a report
+	// reached the master is held until the worker hangs up — which it does
+	// when that call's attempt times out — and then dropped. Replies that
+	// precede the connection's first report (Join, Lease, Heartbeat) pass.
+	reports := reg.Histogram("sched.report.batch_items")
+	dups := reg.Counter("sched.tasks.duplicate")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -326,18 +330,35 @@ func TestReportRedeliveredAfterTimeout(t *testing.T) {
 				down.Close()
 				return
 			}
-			switch n {
-			case 1:
+			if n == 1 {
 				firstConn <- down
-			case 2:
-				up = NewFlakyConn(up, FlakyConfig{Delay: 60 * time.Millisecond})
 			}
-			relay := func(dst, src net.Conn) {
-				io.Copy(dst, src)
-				dst.Close()
-			}
-			go relay(up, down)
-			go relay(down, up)
+			base := reports.Count()
+			hungUp := make(chan struct{})
+			go func() {
+				io.Copy(up, down)
+				up.Close()
+				close(hungUp)
+			}()
+			go func() {
+				defer down.Close()
+				buf := make([]byte, 32<<10)
+				for {
+					k, err := up.Read(buf)
+					if k > 0 && n > 1 && reports.Count() > base && dups.Value() == 0 {
+						<-hungUp
+						return
+					}
+					if k > 0 {
+						if _, err := down.Write(buf[:k]); err != nil {
+							return
+						}
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
 		}
 	}()
 

@@ -379,7 +379,7 @@ func (e *Executor) run(pc int) error {
 		if in.markSlot != noSlot {
 			e.mark(in)
 		}
-		if e.stopped {
+		if e.stopped || in.prune && len(e.regs[in.dst]) == 0 {
 			return nil
 		}
 		pc++
@@ -415,7 +415,8 @@ func (e *Executor) prefetchENU(set []int64, split bool) error {
 }
 
 // AppendFrontier appends to dst the candidates task t's first ENU will
-// iterate, computed from adj = A(t.Start) without running the task: the
+// iterate, computed from adj = A(t.Start) without running the task: none
+// when a guard (Program.guards) would end the task first, else the
 // level's filters (Program.frontierPC) through passes, then — as in
 // prefetchENU — only the stride a split subtask visits. The program must
 // qualify (frontierPC ≥ 0) and the executor must be between tasks. A task
@@ -432,6 +433,12 @@ func (e *Executor) AppendFrontier(dst []int64, t Task, adj []int64) []int64 {
 	cnt := max(t.SplitCount, 1)
 	f1 := e.prog.Plan.Order[0]
 	e.f[f1] = t.Start
+	for _, pc := range e.prog.guards {
+		if !e.admitsAny(&e.prog.instrs[pc], adj) {
+			e.f[f1] = -1
+			return dst // the task ends before its first ENU
+		}
+	}
 	if e.ident {
 		filters = in.rest
 		adj = graph.Between(adj, e.lo(in), e.hi(in))
@@ -817,6 +824,16 @@ func (e *Executor) admits(in *cInstr, v int64) bool {
 		return e.passes(in.filters, v)
 	}
 	return v > e.lo(in) && v < e.hi(in) && e.passes(in.rest, v)
+}
+
+// admitsAny reports whether some v of vs passes in's filters.
+func (e *Executor) admitsAny(in *cInstr, vs []int64) bool {
+	for _, v := range vs {
+		if e.admits(in, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // passes evaluates the filtering conditions against candidate v. A

@@ -1,8 +1,11 @@
 package exec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"benu/internal/graph"
 	"benu/internal/kv"
 	"benu/internal/plan"
+	"benu/internal/vcbc"
 )
 
 // Tests for the hoisted-operand bitsets: which instructions Compile
@@ -36,7 +40,7 @@ func hoistSummary(prog *Program) string {
 		for dpc, d := range prog.instrs {
 			if d.markSlot == in.probeSlot {
 				parts = append(parts, fmt.Sprintf("%s:%s>%s:%s",
-					prog.Plan.Instrs[dpc].Target, d.op, prog.Plan.Instrs[pc].Target, in.op))
+					prog.code[dpc].Target, d.op, prog.code[pc].Target, in.op))
 			}
 		}
 	}
@@ -128,7 +132,7 @@ func checkHoistShape(t *testing.T, prog *Program) {
 		two := (in.op == plan.OpINT || in.op == plan.OpTRC) && len(in.ops) == 2 && in.ops[0] != vgReg && in.ops[1] != vgReg
 		if want := two && inLoop; want != (in.probeSlot != noSlot) {
 			t.Errorf("%s: instruction %d (%s) hoisted=%v, want %v", prog.Plan.Pattern.Name(), pc,
-				&prog.Plan.Instrs[pc], in.probeSlot != noSlot, want)
+				&prog.code[pc], in.probeSlot != noSlot, want)
 		}
 	}
 }
@@ -425,10 +429,10 @@ type mapSource map[int64][]int64
 func (m mapSource) GetAdj(v int64) ([]int64, error) { return m[v], nil }
 
 // parentStats are Stats.{DBQueries, IntOps, EnuSteps, Codes} of RunAll
-// over the best VCBC plan, recorded at the commit before the probe
-// landed, per graph of TestProbeChangesNoCount and catalogue pattern. The
-// probe replaces how an intersection is computed, never whether or how
-// often: none of these may move.
+// over the best VCBC plan, per graph of TestProbeChangesNoCount and
+// catalogue pattern, recorded before an empty INT/TRC result ended the
+// branch, when both paths counted alike. Pruning skips only branches that
+// emit nothing: Codes stay, DBQs and ENU steps never rise.
 var parentStats = map[string][2][4]int64{
 	"triangle":       {{354, 618, 264, 112}, {345, 630, 285, 204}},
 	"square":         {{2505, 4656, 2415, 437}, {1830, 5370, 1770, 858}},
@@ -450,12 +454,84 @@ var parentStats = map[string][2][4]int64{
 	"demo":           {{5484, 20520, 5394, 547}, {7566, 28884, 7506, 3602}},
 }
 
+// parentDigests are FNV-64a digests of the EmitCode stream of those
+// runs (codeDigest), per graph and path: the rank path on the graph as
+// generated, the bound path relabelled.
+var parentDigests = map[string][2][2]uint64{
+	"triangle":       {{0x8f220d5c1bd8256a, 0x501ce35033a4fcfd}, {0xc7266d8810139380, 0x57c250d01acceef0}},
+	"square":         {{0xeb05e6e7e71b77e, 0x50dce526054b327d}, {0x8b3b79c52128b669, 0x1efcb2efdd797c4e}},
+	"chordal-square": {{0x88358d23bf86996c, 0x1b8cce58184ddf9d}, {0x2a26d4d9c7aa1a87, 0x738284ed31b95a72}},
+	"q1":             {{0xfd48fa0a150ded21, 0xccf46fe4a3c66d9b}, {0x3afc5defb0ed746b, 0xe2dee4afa570ecea}},
+	"q2":             {{0x73e1ea5f8d08703d, 0xf35cfdf06c2b9284}, {0x18a14f59eae1485e, 0xcf156df7637946c5}},
+	"q3":             {{0x998196a95c419ac8, 0x906f0bf2b1fb4368}, {0xc004fd92a1bf0f4b, 0x92f460c9327df2da}},
+	"q4":             {{0x4b51e9f040cfd341, 0xb3f8d9b35433ccc7}, {0xde13e72b32a0b818, 0xc0e0c63242410f9c}},
+	"q5":             {{0xcbf29ce484222325, 0xcbf29ce484222325}, {0x6fe42a02e6403ed1, 0xbbec85a5de4f203b}},
+	"q6":             {{0xf2b552a24f64200e, 0xa097db119245d8cb}, {0x97314b3a7e2b76, 0xbc155f9548eaaecc}},
+	"q7":             {{0x1da1fff13045beae, 0xe9c7fdcf4fdd3ae7}, {0x7f51006ba5c2e7b3, 0x54043c780fbd8320}},
+	"q8":             {{0x64a062d30708c62d, 0xaa38d2272486d28f}, {0x751875af009c4f50, 0xab5aecd36efd4e44}},
+	"q9":             {{0x7ef37c249c3fa101, 0xd77458f7cb8314f2}, {0xdbef1e6ab0649950, 0x8c0d99f2badddd77}},
+	"clique4":        {{0xa75e1ba26d154deb, 0xcedeb47af78b5fba}, {0x6de69127a52bc99, 0xc4f4697f57d3435a}},
+	"clique5":        {{0xcbf29ce484222325, 0xcbf29ce484222325}, {0x6fe42a02e6403ed1, 0xbbec85a5de4f203b}},
+	"cycle5":         {{0x5d5ced8ef2ddbcbc, 0xc301fc8ac73fd950}, {0x4d95b657a72fb36a, 0x90859629f06c0223}},
+	"path4":          {{0x3641c3b0da4efee3, 0x5646f105079cd080}, {0x8d19585d5723dc65, 0xf5cc09cbd0b06995}},
+	"star4":          {{0xf2369b4eb931a135, 0xb392bf77a460cc7a}, {0xec7b8d01a5c26de5, 0x6fa6241eb42760a5}},
+	"demo":           {{0x78b63fe1c6f55533, 0xe110fb285aa2de9c}, {0x76d0c92a856e9735, 0xb13246c1902ca3a3}},
+}
+
+// prunedStats are the same counters once an empty INT/TRC result ends
+// the branch and each filter is applied where its vertex is bound, per
+// graph and path. They differ between paths only in IntOps: under an
+// identity order a bound push-down trims the producer itself, which can
+// come out empty and end the branch one INT sooner.
+var prunedStats = map[string][2][2][4]int64{
+	"triangle":       {{{354, 558, 264, 112}, {354, 558, 264, 112}}, {{345, 620, 285, 204}, {345, 620, 285, 204}}},
+	"square":         {{{2505, 4656, 2415, 437}, {2505, 2942, 2415, 437}}, {{1829, 4651, 1770, 858}, {1829, 4651, 1770, 858}}},
+	"chordal-square": {{{354, 558, 264, 93}, {354, 558, 264, 93}}, {{345, 620, 285, 227}, {345, 620, 285, 227}}},
+	"q1":             {{{3494, 8180, 3404, 1001}, {3494, 8180, 3404, 1001}}, {{5033, 13793, 4973, 3657}, {5033, 13793, 4973, 3657}}},
+	"q2":             {{{738, 926, 648, 56}, {738, 880, 648, 56}}, {{1329, 2611, 1269, 506}, {1329, 2411, 1269, 506}}},
+	"q3":             {{{1164, 2388, 1296, 311}, {1164, 2388, 1296, 311}}, {{2502, 6282, 2538, 1599}, {2502, 6282, 2538, 1599}}},
+	"q4":             {{{354, 762, 264, 38}, {354, 762, 264, 38}}, {{345, 895, 285, 158}, {345, 895, 285, 158}}},
+	"q5":             {{{494, 737, 404, 0}, {494, 737, 404, 0}}, {{816, 1437, 756, 31}, {816, 1369, 756, 31}}},
+	"q6":             {{{15692, 40491, 17721, 5904}, {15692, 38365, 17721, 5904}}, {{42403, 116472, 44654, 28033}, {42403, 111738, 44654, 28033}}},
+	"q7":             {{{2529, 4230, 2439, 343}, {2529, 3939, 2439, 343}}, {{4009, 9927, 3949, 1564}, {4009, 9151, 3949, 1564}}},
+	"q8":             {{{1834, 3696, 2032, 379}, {1834, 3288, 2032, 379}}, {{6638, 16950, 6902, 3969}, {6638, 16400, 6902, 3969}}},
+	"q9":             {{{1211, 4157, 1232, 371}, {1211, 4157, 1232, 371}}, {{2429, 9014, 2417, 1689}, {2429, 9014, 2417, 1689}}},
+	"clique4":        {{{482, 725, 392, 12}, {482, 698, 392, 12}}, {{673, 1195, 613, 112}, {673, 1060, 613, 112}}},
+	"clique5":        {{{494, 737, 404, 0}, {494, 737, 404, 0}}, {{816, 1437, 756, 31}, {816, 1369, 756, 31}}},
+	"cycle5":         {{{15169, 24094, 15107, 741}, {15169, 17925, 15107, 741}}, {{11986, 25587, 11954, 2062}, {11986, 18215, 11954, 2062}}},
+	"path4":          {{{618, 1056, 528, 525}, {618, 1056, 528, 525}}, {{630, 1140, 570, 570}, {630, 1140, 570, 570}}},
+	"star4":          {{{90, 270, 0, 51}, {90, 270, 0, 51}}, {{60, 180, 0, 60}, {60, 180, 0, 60}}},
+	"demo":           {{{4726, 9034, 4636, 547}, {4726, 9034, 4636, 547}}, {{7450, 22000, 7390, 3602}, {7450, 22000, 7390, 3602}}},
+}
+
+// codeDigest returns an EmitCode callback folding every code into h.
+func codeDigest(h hash.Hash64) func(c *vcbc.Code) bool {
+	var b [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	return func(c *vcbc.Code) bool {
+		for _, v := range c.Helve {
+			put(v)
+		}
+		for _, img := range c.Images {
+			put(-1)
+			for _, v := range img {
+				put(v)
+			}
+		}
+		put(-2)
+		return true
+	}
+}
+
 // TestProbeChangesNoCount: every catalogue pattern on two power-law
 // graphs, raw and compact reads, triangle cache off and on, matches
-// graph.RefCount and reproduces the parent's instruction counts exactly.
-// Each graph also runs relabelled by ≺ (graph.Relabel), under its
-// identity order — the bound path — with the same program: the relabel
-// maps ≺ onto <, so every count is invariant.
+// graph.RefCount, reproduces prunedStats exactly, and emits the parent's
+// code stream: the same codes in the same order, with no more DBQs or
+// ENU steps. Each graph also runs relabelled by ≺ (graph.Relabel), under
+// its identity order — the bound path — with the same program.
 func TestProbeChangesNoCount(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.PowerLaw(gen.PowerLawConfig{N: 90, EdgesPer: 3, Triad: 0.4, Seed: 13}),
@@ -468,24 +544,31 @@ func TestProbeChangesNoCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			prog := compileBest(t, p, g, plan.AllOptions)
-			for _, g := range []*graph.Graph{g, graph.Relabel(g)} {
+			parent := parentStats[name][gi]
+			for pi, g := range []*graph.Graph{g, graph.Relabel(g)} {
 				ord := graph.NewTotalOrder(g)
 				want := graph.RefCount(p, g, ord)
 				for _, compact := range []bool{false, true} {
 					for _, tri := range []int{0, 64} {
+						cell := fmt.Sprintf("graph %d %s identity=%v compact=%v tri=%d", gi, name, ord.Identity(), compact, tri)
+						h := fnv.New64a()
 						src := NewCachedSourceWith(kv.NewLocal(g), g.SizeBytes()*4, SourceOptions{Compact: compact})
-						s, err := RunAll(prog, src, g.NumVertices(), ord, Options{TriangleCacheEntries: tri})
+						s, err := RunAll(prog, src, g.NumVertices(), ord, Options{TriangleCacheEntries: tri, EmitCode: codeDigest(h)})
 						if err != nil {
 							t.Fatal(err)
 						}
 						if s.Matches != want {
-							t.Errorf("graph %d %s identity=%v compact=%v tri=%d: %d matches, RefCount %d",
-								gi, name, ord.Identity(), compact, tri, s.Matches, want)
+							t.Errorf("%s: %d matches, RefCount %d", cell, s.Matches, want)
 						}
 						got := [4]int64{s.DBQueries, s.IntOps, s.EnuSteps, s.Codes}
-						if got != parentStats[name][gi] {
-							t.Errorf("graph %d %s identity=%v compact=%v tri=%d: {DBQ IntOps EnuSteps Codes} = %v, parent %v",
-								gi, name, ord.Identity(), compact, tri, got, parentStats[name][gi])
+						if got != prunedStats[name][gi][pi] {
+							t.Errorf("%s: {DBQ IntOps EnuSteps Codes} = %v, pinned %v", cell, got, prunedStats[name][gi][pi])
+						}
+						if got[0] > parent[0] || got[2] > parent[2] || got[3] != parent[3] {
+							t.Errorf("%s: {DBQ IntOps EnuSteps Codes} = %v against the parent's %v", cell, got, parent)
+						}
+						if d := h.Sum64(); d != parentDigests[name][gi][pi] {
+							t.Errorf("%s: code stream digest %#x, parent %#x", cell, d, parentDigests[name][gi][pi])
 						}
 					}
 				}
@@ -517,7 +600,7 @@ func TestBoundPushDown(t *testing.T) {
 		}
 		for pc, in := range prog.instrs {
 			if len(in.filters) == 0 && len(in.gt)+len(in.lt) > 0 {
-				got[name] = append(got[name], fmt.Sprintf("%s gt=%v lt=%v", res.Plan.Instrs[pc].Target, in.gt, in.lt))
+				got[name] = append(got[name], fmt.Sprintf("%s gt=%v lt=%v", prog.code[pc].Target, in.gt, in.lt))
 			}
 		}
 	}

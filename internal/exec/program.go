@@ -80,6 +80,11 @@ type cInstr struct {
 	// mirror instead of merging the two lists.
 	probeSlot int
 	probeVar  int
+
+	// prune marks an INT/TRC whose empty result ends the branch: every
+	// path from its register to an emission runs through an ENU that
+	// would iterate nothing or a free image RES would drop.
+	prune bool
 }
 
 // noSlot marks an instruction with no bitset slot.
@@ -98,6 +103,9 @@ type resOperand struct {
 type Program struct {
 	Plan *plan.Plan
 
+	// code is the instruction list Compile lowered: Plan.Instrs with each
+	// filter split (splitFilters) in place; instrs[pc] compiles code[pc].
+	code     []plan.Instruction
 	instrs   []cInstr
 	numRegs  int
 	numBufs  int
@@ -118,6 +126,9 @@ type Program struct {
 	// window's start batch left in the cache (Executor.AppendFrontier) and
 	// fetch the union once. -1 otherwise.
 	frontierPC int
+	// guards are the pcs of the other sets that end the task ahead of its
+	// first ENU when they come out empty, each a filtering of A(f₁).
+	guards []int
 
 	// n is the pattern vertex count.
 	n int
@@ -170,6 +181,85 @@ func (ci *cInstr) addFilter(f plan.FilterCond) {
 	}
 }
 
+// splitFilters returns pl's instructions with every INT split in two
+// whose filters name vertices bound on both sides of an ENU that lies
+// between its operands' definitions and itself. An early INT right after
+// the last operand definition applies every filter already decidable
+// there — on a vertex bound before it, a label, a minimum degree — and
+// the original INT reads it and applies the rest. The late filters only
+// shrink the early set, so results are unchanged, and an empty early set
+// ends the branch (cInstr.prune) before the loops in between. q6's
+// C2 := Intersect(T2) | >f1,!=f4,!=f5 after the f5 loop becomes an early
+// Intersect(T2) | >f1 after T2 and C2 := Intersect(early) | !=f4,!=f5.
+// pl is left alone: its cost, wire form and journal pin never see this.
+func splitFilters(pl *plan.Plan) []plan.Instruction {
+	defPC := map[plan.VarRef]int{} // defining pc of each variable, f ones bound by INI/ENU
+	enus := make([]int, len(pl.Instrs))
+	nextT := 0 // the early INTs' registers are fresh temps
+	for _, in := range pl.Instrs {
+		if in.Target.Kind == plan.VarT {
+			nextT = max(nextT, in.Target.Index+1)
+		}
+	}
+	early := map[int][]plan.Instruction{} // by the pc they follow
+	late := map[int]plan.Instruction{}
+	for i, in := range pl.Instrs {
+		if in.Op == plan.OpRES {
+			continue
+		}
+		defPC[in.Target] = i
+		if i > 0 {
+			enus[i] = enus[i-1]
+		}
+		if in.Op == plan.OpENU {
+			enus[i]++
+		}
+		if in.Op != plan.OpINT {
+			continue
+		}
+		d, vg := -1, false // the operands' last definition
+		for _, o := range in.Operands {
+			vg = vg || o.Kind == plan.VarVG
+			d = max(d, defPC[o])
+		}
+		if vg || d < 0 || enus[d] == enus[i] {
+			continue
+		}
+		var now, rest []plan.FilterCond
+		for _, f := range in.Filters {
+			switch f.Kind {
+			case plan.FilterGT, plan.FilterLT, plan.FilterNE:
+				if defPC[plan.VarRef{Kind: plan.VarF, Index: f.Vertex}] > d {
+					rest = append(rest, f)
+					continue
+				}
+			case plan.FilterMinDeg, plan.FilterLabel:
+			}
+			now = append(now, f)
+		}
+		if len(now) == 0 || len(rest) == 0 {
+			continue
+		}
+		t := plan.VarRef{Kind: plan.VarT, Index: nextT}
+		nextT++
+		early[d] = append(early[d], plan.Instruction{Op: plan.OpINT, Target: t, Operands: in.Operands, Filters: now})
+		in.Operands, in.Filters = []plan.VarRef{t}, rest
+		late[i] = in
+	}
+	if len(late) == 0 {
+		return pl.Instrs
+	}
+	code := make([]plan.Instruction, 0, len(pl.Instrs)+len(late))
+	for i, in := range pl.Instrs {
+		if l, ok := late[i]; ok {
+			in = l
+		}
+		code = append(code, in)
+		code = append(code, early[i]...)
+	}
+	return code
+}
+
 // enuBetween reports whether an ENU lies strictly between pcs from and to.
 func enuBetween(instrs []cInstr, from, to int) bool {
 	for j := from + 1; j < to; j++ {
@@ -205,10 +295,11 @@ func Compile(pl *plan.Plan) (*Program, error) {
 		}
 		return r
 	}
+	prog.code = splitFilters(pl)
 	enuSeen := 0
 	iniSeen := 0
-	for i := range pl.Instrs {
-		in := &pl.Instrs[i]
+	for i := range prog.code {
+		in := &prog.code[i]
 		ci := cInstr{op: in.Op, markSlot: noSlot, probeSlot: noSlot}
 		switch in.Op {
 		case plan.OpINI:
@@ -414,20 +505,62 @@ func Compile(pl *plan.Plan) (*Program, error) {
 		in.gt, in.lt = nil, nil
 	}
 
+	// Early exit: an INT/TRC result that an ENU iterates, that RES reports
+	// as a free image, or that a pruning INT/TRC intersects, empties every
+	// emission beneath it when it is empty. Registers are read only after
+	// their definition, so one backward pass finds them all.
+	emptiesBranch := make([]bool, prog.numRegs)
+	for _, op := range prog.res {
+		if op.isSet {
+			emptiesBranch[op.reg] = true
+		}
+	}
+	for pc := len(prog.instrs) - 1; pc >= 0; pc-- {
+		in := &prog.instrs[pc]
+		in.prune = (in.op == plan.OpINT || in.op == plan.OpTRC) && emptiesBranch[in.dst]
+		if in.op != plan.OpENU && !in.prune {
+			continue
+		}
+		for _, r := range in.ops {
+			if r != vgReg {
+				emptiesBranch[r] = true
+			}
+		}
+	}
+
 	// Frontier analysis: the first ENU's candidates are known from A(f₁)
 	// alone when the loop iterates that list or one single-operand INT's
 	// filtering of it, and worth fetching ahead when the loop DB-queries
 	// them (the prefetch mark). An anchored plan binds two vertices per
-	// task and has no window of start lists to read.
+	// task and has no window of start lists to read. Any other set that
+	// ends the task ahead of the loop when empty must be such a filtering
+	// too: AppendFrontier checks these guards first.
 	if pc := prog.splitPC; pc >= 0 && !pl.Anchored && prog.instrs[pc].prefetch && prog.instrs[pc].ops[0] != vgReg {
 		f1 := pl.Order[0]
-		at, def := pc, defPC[prog.instrs[pc].ops[0]] // the filters' instruction, the list's definition
-		if in := &prog.instrs[def]; in.op == plan.OpINT && len(in.ops) == 1 && in.ops[0] != vgReg && filtersReadOnly(in.filters, f1) {
-			at, def = def, defPC[in.ops[0]]
+		isA1 := func(r int) bool {
+			d := &prog.instrs[defPC[r]]
+			return d.op == plan.OpDBQ && d.vertex == f1
 		}
-		if in := &prog.instrs[def]; in.op == plan.OpDBQ && in.vertex == f1 {
-			prog.frontierPC = at
+		filtersA1 := func(in *cInstr) bool {
+			return in.op == plan.OpINT && len(in.ops) == 1 && in.ops[0] != vgReg && isA1(in.ops[0]) && filtersReadOnly(in.filters, f1)
 		}
+		at := -1 // the level's filters
+		switch r := prog.instrs[pc].ops[0]; {
+		case isA1(r):
+			at = pc
+		case filtersA1(&prog.instrs[defPC[r]]):
+			at = defPC[r]
+		}
+		for g := 0; at >= 0 && g < pc; g++ {
+			if in := &prog.instrs[g]; in.prune && g != at {
+				if filtersA1(in) {
+					prog.guards = append(prog.guards, g)
+				} else {
+					at, prog.guards = -1, nil
+				}
+			}
+		}
+		prog.frontierPC = at
 	}
 
 	if pl.Pattern.Labeled() {
